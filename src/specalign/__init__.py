@@ -36,7 +36,6 @@ from .metrics import (
     node_accuracy,
 )
 from .randgen import (
-    NoiseParams,
     erdos_renyi,
     noise_model_I,
     noise_model_II,
@@ -76,7 +75,6 @@ __all__ = [
     "MappingSet",
     "MeanFieldModel",
     "MemoryGuardError",
-    "NoiseParams",
     "ParseError",
     "Permutation",
     "RelaxationSolution",

@@ -65,12 +65,11 @@ class AlignmentResult:
 class RelaxationSolution:
     """Orthogonal-relaxation optimizer V U^T with its two spectra.
 
-    ``x0`` is orthogonal; flipping entries of ``signs`` spans the family of
-    alternative optima obtained by negating eigenvector pairs.
+    ``x0`` is orthogonal; negating eigenvector pairs spans the family of
+    alternative optima.
     """
 
     x0: np.ndarray
-    signs: np.ndarray
     spectra: tuple[SpectralDecomposition, SpectralDecomposition]
 
 
@@ -169,14 +168,7 @@ def orthogonal_relaxation(g1m: np.ndarray, g2m: np.ndarray) -> RelaxationSolutio
     dec1 = top_k_eigs(g1m, n)
     dec2 = top_k_eigs(g2m, n)
     x0 = dec1.eigenvectors @ dec2.eigenvectors.T
-    return RelaxationSolution(x0=x0, signs=np.ones(n, dtype=np.int64), spectra=(dec1, dec2))
-
-
-def _permutation_from_assignment(assignment: Assignment, n: int) -> np.ndarray:
-    x = np.zeros((n, n))
-    for i, j in assignment.pairs:
-        x[i, j] = 1.0
-    return x
+    return RelaxationSolution(x0=x0, spectra=(dec1, dec2))
 
 
 def low_rank_align(
@@ -187,7 +179,6 @@ def low_rank_align(
     *,
     matching: str = "exact",
     mapping_set: MappingSet | None = None,
-    use_projection_rounding: bool = False,
     seed: int | None = None,
 ) -> AlignmentResult:
     """Rank-k spectral alignment of the transformed adjacency matrices.
@@ -199,9 +190,7 @@ def low_rank_align(
     ``sum_i sign_i * lambda_i(M1) * lambda_i(M2) * v_i u_i^T`` whose
     maximum-weight matching is a candidate mapping; candidates are scored
     by the trace objective on the padded pair and the best one is returned
-    with padded rows dropped. ``use_projection_rounding`` switches the
-    affinity to the plain eigenvector outer products (a known-weak
-    baseline kept for comparison).
+    with padded rows dropped.
     """
     if matching not in ("exact", "greedy"):
         raise ValueError(f"matching must be 'exact' or 'greedy', got {matching!r}")
@@ -221,7 +210,7 @@ def low_rank_align(
     m2, _ = psd_shift(p2.as_float() - gamma)
     dec1 = top_k_eigs(m1, rank_k)
     dec2 = top_k_eigs(m2, rank_k)
-    scale = np.ones(rank_k) if use_projection_rounding else dec1.eigenvalues * dec2.eigenvalues
+    scale = dec1.eigenvalues * dec2.eigenvalues
 
     allowed = None
     if mapping_set is not None:

@@ -3,9 +3,13 @@
 The exact solver delegates the optimization to
 ``scipy.optimize.linear_sum_assignment`` and then normalizes the returned
 assignment to the lexicographically smallest optimum, so equal-weight ties
-resolve deterministically to the lowest (i, then j'). The greedy variant
+resolve deterministically to the lowest (i, then j'). That solve also
+detects a mask with no full matching; only then is a Hall-violation
+witness built, from a Hopcroft-Karp maximum matching
+(``scipy.sparse.csgraph.maximum_bipartite_matching``). The greedy variant
 implements the classic heaviest-cell sweep with a 1/2-approximation
-guarantee for non-negative weights.
+guarantee for non-negative weights, over one stable sort of the allowed
+cells.
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 __all__ = [
     "Assignment",
@@ -78,38 +84,18 @@ def _as_weight_mask(w: np.ndarray, allowed: np.ndarray | None) -> tuple[np.ndarr
     return w, allowed
 
 
-def _max_bipartite_matching(allowed: np.ndarray) -> np.ndarray:
-    """Kuhn's augmenting-path matching on a boolean mask; returns col match per row (-1 unmatched)."""
-    n1, n2 = allowed.shape
-    match_col = np.full(n2, -1, dtype=np.int64)
-
-    def try_augment(row: int, seen: np.ndarray) -> bool:
-        for col in range(n2):
-            if allowed[row, col] and not seen[col]:
-                seen[col] = True
-                if match_col[col] == -1 or try_augment(match_col[col], seen):
-                    match_col[col] = row
-                    return True
-        return False
-
-    for row in range(n1):
-        try_augment(row, np.zeros(n2, dtype=bool))
-    match_row = np.full(n1, -1, dtype=np.int64)
-    for col, row in enumerate(match_col):
-        if row >= 0:
-            match_row[row] = col
-    return match_row
-
-
 def _hall_violation(allowed: np.ndarray) -> tuple[list[int], list[int]]:
-    """Deficient row set and its neighborhood, assuming no full row matching exists."""
-    match_row = _max_bipartite_matching(allowed)
-    free = [r for r in range(allowed.shape[0]) if match_row[r] == -1]
-    start = free[0]
-    col_owner = {int(c): int(r) for r, c in enumerate(match_row) if c >= 0}
-    rows = {start}
+    """Deficient row set and its neighborhood, assuming no full row matching exists.
+
+    S is every row reachable from an unmatched row of a maximum matching by
+    alternating paths. It is the same set for every maximum matching, N(S)
+    is fully matched into S, and |S| - |N(S)| is the rows' deficiency.
+    """
+    match_row = maximum_bipartite_matching(csr_matrix(allowed), perm_type="column")
+    col_owner = {int(c): r for r, c in enumerate(match_row) if c >= 0}
+    frontier = [r for r in range(allowed.shape[0]) if match_row[r] == -1]
+    rows = set(frontier)
     cols: set[int] = set()
-    frontier = [start]
     while frontier:
         row = frontier.pop()
         for col in np.nonzero(allowed[row])[0]:
@@ -147,17 +133,10 @@ def hungarian_max_weight(w: np.ndarray, allowed: np.ndarray | None = None) -> As
     w, allowed = _as_weight_mask(w, allowed)
     n1, n2 = w.shape
 
-    transposed = n1 > n2
-    side = allowed.T if transposed else allowed
-    if not allowed.all():
-        match_row = _max_bipartite_matching(side)
-        if (match_row == -1).any():
-            rows, cols = _hall_violation(side)
-            raise InfeasibleMatchingError(rows, cols, transposed)
-
     solved = _solve_lap(w, allowed)
     if solved is None:
-        rows, cols = _hall_violation(side)
+        transposed = n1 > n2
+        rows, cols = _hall_violation(allowed.T if transposed else allowed)
         raise InfeasibleMatchingError(rows, cols, transposed)
     rr, cc = solved
     optimum = float(w[rr, cc].sum())
@@ -229,14 +208,14 @@ def greedy_matching(w: np.ndarray, allowed: np.ndarray | None = None) -> Assignm
     restrictive masks the matching may cover fewer than min(n1, n2) rows.
     """
     w, allowed = _as_weight_mask(w, allowed)
-    cells = np.argwhere(allowed)
-    order = sorted(range(len(cells)), key=lambda t: (-w[cells[t, 0], cells[t, 1]], cells[t, 0], cells[t, 1]))
+    rows, cols = np.nonzero(allowed)
+    # A stable sort of the row-major cells orders them by (-w, i, j').
+    order = np.argsort(-w[rows, cols], kind="stable")
     used_rows: set[int] = set()
     used_cols: set[int] = set()
     pairs: list[tuple[int, int]] = []
     total = 0.0
-    for t in order:
-        i, j = int(cells[t, 0]), int(cells[t, 1])
+    for i, j in zip(rows[order].tolist(), cols[order].tolist()):
         if i in used_rows or j in used_cols:
             continue
         used_rows.add(i)

@@ -9,7 +9,6 @@ trace identities. Directed graphs count each direction separately.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -26,9 +25,6 @@ __all__ = [
     "expected_alignment_matrix",
     "mean_field_ratio",
 ]
-
-PairList = "Assignment | Iterable[tuple[int, int]]"
-
 
 def _pairs_of(mapping) -> list[tuple[int, int]]:
     pairs = list(mapping.pairs) if isinstance(mapping, Assignment) else [tuple(p) for p in mapping]

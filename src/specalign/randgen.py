@@ -7,15 +7,12 @@ numpy version; the RNG algorithm is part of the documented interface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .graph import Graph, Permutation
 from .score import MappingSet
 
 __all__ = [
-    "NoiseParams",
     "erdos_renyi",
     "stochastic_block_model",
     "random_regular",
@@ -30,34 +27,6 @@ __all__ = [
 POWER_LAW_SEED_DENSITY = 0.5
 
 _REGULAR_MAX_ATTEMPTS = 20_000
-
-
-@dataclass(frozen=True)
-class NoiseParams:
-    """Noise configuration in the regime the mean-field analysis covers.
-
-    ``p`` is the clean edge density, ``p_e`` the flip/deletion probability.
-    For the density-preserving model the insertion probability is pinned to
-    ``p_e2 = p * p_e / (1 - p)`` so the expected output density stays ``p``.
-    """
-
-    p: float
-    p_e: float
-    p_e2: float | None = None
-
-    def __post_init__(self):
-        if not 0 <= self.p < 0.5:
-            raise ValueError(f"p must lie in [0, 1/2), got {self.p}")
-        if not 0 <= self.p_e < 0.5:
-            raise ValueError(f"p_e must lie in [0, 1/2), got {self.p_e}")
-        if self.p_e2 is not None:
-            expected = self.p * self.p_e / (1.0 - self.p)
-            if abs(self.p_e2 - expected) > 1e-12:
-                raise ValueError(f"p_e2 must equal p*p_e/(1-p) = {expected}, got {self.p_e2}")
-
-    @classmethod
-    def density_preserving(cls, p: float, p_e: float) -> "NoiseParams":
-        return cls(p=p, p_e=p_e, p_e2=p * p_e / (1.0 - p))
 
 
 def _symmetric_bernoulli(n: int, prob: np.ndarray | float, rng: np.random.Generator) -> np.ndarray:

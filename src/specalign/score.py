@@ -227,9 +227,10 @@ def alignment_matvec(g1: Graph, g2: Graph, s: ScoreScheme, y: np.ndarray) -> np.
     Y = y.reshape((n1, n2), order="F")
     a1 = g1.as_float()
     a2 = g2.as_float()
-    coupled = a1 @ Y @ a2.T
-    g1_side = np.repeat((a1 @ Y).sum(axis=1, keepdims=True), n2, axis=1)
-    g2_side = np.repeat((Y @ a2.T).sum(axis=0, keepdims=True), n1, axis=0)
+    a1_y = a1 @ Y
+    coupled = a1_y @ a2.T
+    g1_side = a1_y.sum(axis=1, keepdims=True)
+    g2_side = Y.sum(axis=0, keepdims=True) @ a2.T
     total = Y.sum()
     Z = (
         (s.s1 + s.s2 - 2 * s.s3) * coupled

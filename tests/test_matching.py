@@ -2,8 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from specalign.matching import (
     Assignment,
@@ -29,6 +30,33 @@ def brute_force_best(w, allowed=None):
             if all(allowed[r, j] for j, r in enumerate(rows)):
                 best = max(best, sum(w[r, j] for j, r in enumerate(rows)))
     return best
+
+
+def max_matching_size(allowed):
+    """Size of a maximum matching of a mask with no more rows than columns, by enumeration."""
+    n1, n2 = allowed.shape
+    return max(sum(bool(allowed[i, c]) for i, c in enumerate(cols)) for cols in itertools.permutations(range(n2), n1))
+
+
+def reference_greedy(w, allowed):
+    """Greedy matching over all allowed cells key-sorted by (-w, i, j')."""
+    n1, n2 = w.shape
+    cells = [(i, j) for i in range(n1) for j in range(n2) if allowed is None or allowed[i, j]]
+    cells.sort(key=lambda c: (-w[c], c[0], c[1]))
+    used_rows, used_cols, pairs, total = set(), set(), [], 0.0
+    for i, j in cells:
+        if i in used_rows or j in used_cols:
+            continue
+        used_rows.add(i)
+        used_cols.add(j)
+        pairs.append((i, j))
+        total += float(w[i, j])
+    return tuple(sorted(pairs)), total
+
+
+def shapes(max_side):
+    sides = st.integers(1, max_side)
+    return st.tuples(sides, sides) | sides.map(lambda n: (n, n))
 
 
 class TestHungarian:
@@ -84,6 +112,35 @@ class TestHungarian:
         assert err.value.deficient_rows == [0, 1]
         assert err.value.neighborhood == [0]
 
+    def test_long_alternating_chain_fails_cleanly(self):
+        # Row i allows columns i and i-1, rows reversed, column 0 removed: the
+        # augmenting paths run along a chain of 1300 rows.
+        n = 1300
+        idx = np.arange(n)
+        allowed = np.zeros((n, n), dtype=bool)
+        allowed[idx, idx] = True
+        allowed[idx[1:], idx[1:] - 1] = True
+        allowed = allowed[::-1].copy()
+        allowed[:, 0] = False
+        with pytest.raises(InfeasibleMatchingError) as err:
+            hungarian_max_weight(np.ones((n, n)), allowed)
+        rows, cols = err.value.deficient_rows, err.value.neighborhood
+        assert cols == np.nonzero(allowed[rows].any(axis=0))[0].tolist()
+        assert len(cols) < len(rows)
+
+    @given(st.data())
+    def test_witness_size_is_the_deficiency(self, data):
+        n1, n2 = data.draw(shapes(6))
+        allowed = data.draw(arrays(np.bool_, (n1, n2), elements=st.sampled_from([False, False, True])))
+        side = allowed.T if n1 > n2 else allowed
+        deficiency = side.shape[0] - max_matching_size(side)
+        assume(deficiency > 0)
+        with pytest.raises(InfeasibleMatchingError) as err:
+            hungarian_max_weight(np.ones((n1, n2)), allowed)
+        rows, cols = err.value.deficient_rows, err.value.neighborhood
+        assert cols == np.nonzero(side[rows].any(axis=0))[0].tolist()
+        assert len(rows) - len(cols) == deficiency
+
     def test_rejects_nonfinite_allowed_weights(self):
         w = np.array([[np.inf, 1.0], [1.0, 1.0]])
         with pytest.raises(ValueError, match="finite"):
@@ -127,6 +184,16 @@ class TestGreedy:
     def test_deterministic_tie_break(self):
         a = greedy_matching(np.full((2, 3), 1.0))
         assert a.pairs == ((0, 0), (1, 1))
+
+    @given(st.data())
+    def test_matches_key_sort_reference(self, data):
+        shape = data.draw(shapes(8))
+        w = data.draw(arrays(np.int64, shape, elements=st.integers(0, 3))).astype(float)
+        allowed = data.draw(st.none() | arrays(np.bool_, shape))
+        a = greedy_matching(w, allowed)
+        pairs, total = reference_greedy(w, allowed)
+        assert a.pairs == pairs
+        assert a.total_weight == total
 
 
 class TestAssignment:

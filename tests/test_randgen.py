@@ -3,7 +3,6 @@ import pytest
 
 from specalign.graph import Permutation
 from specalign.randgen import (
-    NoiseParams,
     erdos_renyi,
     noise_model_I,
     noise_model_II,
@@ -145,10 +144,6 @@ class TestNoiseModels:
         lo, hi = binomial_bounds(n * (n - 1) // 2, p_e)
         assert lo <= flips <= hi
 
-    def test_model_ii_insertion_rate(self):
-        params = NoiseParams.density_preserving(0.1, 0.05)
-        assert params.p_e2 == pytest.approx(0.1 * 0.05 / 0.9)
-
     def test_model_ii_zero_noise_identity(self):
         g = erdos_renyi(30, 0.2, 0)
         assert noise_model_II(g, 0.0, 0.2, 1) == g
@@ -164,12 +159,6 @@ class TestNoiseModels:
         g = erdos_renyi(40, 0.3, 2)
         for noisy in (noise_model_I(g, 0.2, 3), noise_model_II(g, 0.2, 0.3, 4)):
             assert np.array_equal(noisy.adjacency, noisy.adjacency.T)
-
-    def test_noise_params_validation(self):
-        with pytest.raises(ValueError):
-            NoiseParams(p=0.6, p_e=0.1)
-        with pytest.raises(ValueError):
-            NoiseParams(p=0.1, p_e=0.1, p_e2=0.5)
 
 
 class TestSampleMappingSet:
