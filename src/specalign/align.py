@@ -19,13 +19,7 @@ import numpy as np
 from .graph import Graph, pad_to
 from .matching import Assignment, greedy_matching, hungarian_max_weight
 from .metrics import count_alignment, generalized_objective
-from .score import (
-    DEFAULT_DENSE_ENTRY_CAP,
-    MappingSet,
-    ScoreScheme,
-    alignment_matvec,
-    build_alignment_matrix,
-)
+from .score import MappingSet, ScoreScheme, alignment_matvec, build_alignment_matrix
 from .spectral import SpectralDecomposition, leading_eigenvector, psd_shift, top_k_eigs
 
 __all__ = [
@@ -45,7 +39,10 @@ SIGN_ENUM_MAX_RANK = 12
 
 @dataclass(frozen=True)
 class AlignmentResult:
-    """A bijective (partial) mapping plus its recomputed quality numbers."""
+    """A bijective (partial) mapping plus its recomputed quality numbers.
+
+    ``seed`` is the power-iteration start seed; only ``eigen_align`` has one.
+    """
 
     mapping: Assignment
     matches: int
@@ -56,9 +53,6 @@ class AlignmentResult:
     gamma: float
     rank: int | None = None
     seed: int | None = None
-
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        return self.mapping.pairs
 
 
 @dataclass(frozen=True)
@@ -101,21 +95,19 @@ def eigen_align(
     g1: Graph,
     g2: Graph,
     s: ScoreScheme,
-    mapping_set: MappingSet | str = "full",
+    mapping_set: MappingSet | None = None,
     *,
     matching: str = "exact",
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
     seed: int = 0,
-    max_entries: int = DEFAULT_DENSE_ENTRY_CAP,
 ) -> AlignmentResult:
     """Leading-eigenvector alignment rounded by bipartite matching.
 
-    With ``mapping_set="full"`` on undirected graphs the eigenvector is
-    computed matrix-free; otherwise the dense alignment matrix over the
-    allowed pairs is built (subject to the size cap). Eigenvector entries
-    become matching weights on the allowed cells, and the matching step is
-    exact (``"exact"``) or greedy (``"greedy"``).
+    ``mapping_set=None`` allows all n1*n2 pairs: on undirected graphs the
+    eigenvector is then computed matrix-free, on directed graphs over the
+    dense matrix of ``MappingSet.full``. A given mapping set is always
+    solved densely (subject to the size cap). Eigenvector entries become
+    matching weights on the allowed cells, and the matching step is exact
+    (``"exact"``) or greedy (``"greedy"``).
     """
     if matching not in ("exact", "greedy"):
         raise ValueError(f"matching must be 'exact' or 'greedy', got {matching!r}")
@@ -123,23 +115,18 @@ def eigen_align(
         raise ValueError("graphs must be both directed or both undirected")
     n1, n2 = g1.n, g2.n
 
-    if isinstance(mapping_set, str):
-        if mapping_set != "full":
-            raise ValueError(f"mapping_set must be a MappingSet or 'full', got {mapping_set!r}")
-        if g1.directed:
-            mapping_set = MappingSet.full(n1, n2)
-        else:
-            mapping_set = None  # matrix-free path
+    if mapping_set is None and g1.directed:
+        mapping_set = MappingSet.full(n1, n2)
     if mapping_set is None:
         op = lambda y: alignment_matvec(g1, g2, s, y)  # noqa: E731
-        _, vec = leading_eigenvector(op, n1 * n2, tol=tol, max_iter=max_iter, seed=seed)
+        _, vec = leading_eigenvector(op, n1 * n2, seed=seed)
         weights = vec.reshape((n1, n2), order="F")
         allowed = None
     else:
         if mapping_set.n1 != n1 or mapping_set.n2 != n2:
             raise ValueError("mapping set sizes do not match the graphs")
-        a_dense = build_alignment_matrix(g1, g2, s, mapping_set, max_entries=max_entries)
-        _, vec = leading_eigenvector(a_dense, len(mapping_set), tol=tol, max_iter=max_iter, seed=seed)
+        a_dense = build_alignment_matrix(g1, g2, s, mapping_set)
+        _, vec = leading_eigenvector(a_dense, len(mapping_set), seed=seed)
         weights = np.zeros((n1, n2))
         rows, cols = mapping_set.rows_cols()
         weights[rows, cols] = vec
@@ -178,8 +165,6 @@ def low_rank_align(
     rank_k: int = 3,
     *,
     matching: str = "exact",
-    mapping_set: MappingSet | None = None,
-    seed: int | None = None,
 ) -> AlignmentResult:
     """Rank-k spectral alignment of the transformed adjacency matrices.
 
@@ -212,25 +197,13 @@ def low_rank_align(
     dec2 = top_k_eigs(m2, rank_k)
     scale = dec1.eigenvalues * dec2.eigenvalues
 
-    allowed = None
-    if mapping_set is not None:
-        if mapping_set.n1 != g1.n or mapping_set.n2 != g2.n:
-            raise ValueError("mapping set sizes do not match the graphs")
-        allowed = np.zeros((n, n), dtype=bool)
-        rows, cols = mapping_set.rows_cols()
-        allowed[rows, cols] = True
-        # Padded rows/columns stay matchable among themselves so the
-        # matching of real nodes is not blocked by the padding.
-        allowed[g1.n :, :] = True
-        allowed[:, g2.n :] = True
-
     best: tuple[float, Assignment, np.ndarray] | None = None
     for signs in itertools.product((1.0, -1.0), repeat=rank_k):
         affinity = (dec1.eigenvectors * (np.asarray(signs) * scale)) @ dec2.eigenvectors.T
         if matching == "exact":
-            candidate = hungarian_max_weight(affinity, allowed)
+            candidate = hungarian_max_weight(affinity)
         else:
-            candidate = greedy_matching(affinity, allowed)
+            candidate = greedy_matching(affinity)
         value = generalized_objective(p1, p2, candidate, gamma)
         if best is None or value > best[0]:
             best = (value, candidate, affinity)
@@ -238,7 +211,7 @@ def low_rank_align(
     _, winner, affinity = best
     kept = tuple((i, j) for i, j in winner.pairs if i < g1.n and j < g2.n)
     trimmed = Assignment(pairs=kept, total_weight=float(sum(affinity[i, j] for i, j in kept)))
-    return _finish(g1, g2, trimmed, gamma, "lra", rank_k, seed)
+    return _finish(g1, g2, trimmed, gamma, "lra", rank_k, None)
 
 
 def rounding_gap_bound(g1m: np.ndarray, g2m: np.ndarray, eps: float) -> float:

@@ -25,16 +25,8 @@ from .experiments import (
     sweep_rows_to_csv,
 )
 from .graph import Graph, ParseError, Permutation, load_edge_list, write_edge_list
-from .matching import InfeasibleMatchingError
 from .metrics import count_alignment, generalized_objective, node_accuracy
-from .score import (
-    MappingSet,
-    MemoryGuardError,
-    ScoreScheme,
-    build_alignment_matrix,
-    from_alpha,
-)
-from .spectral import ConvergenceError
+from .score import MappingSet, ScoreScheme, build_alignment_matrix, from_alpha
 
 USAGE_EXIT = 1
 RUNTIME_EXIT = 2
@@ -169,9 +161,8 @@ def _load_truth(path: str | None) -> Permutation | None:
     return Permutation(np.asarray(mapping, dtype=np.int64))
 
 
-def _load_mapping_set(path: str | None, n1: int, n2: int) -> MappingSet | str:
-    if path is None:
-        return "full"
+def _read_pairs(path: str) -> list[tuple[int, int]]:
+    """Node-id pairs of a two-column file, skipping blank and ``#`` lines."""
     pairs = []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
@@ -180,8 +171,11 @@ def _load_mapping_set(path: str | None, n1: int, n2: int) -> MappingSet | str:
         parts = line.split()
         if len(parts) != 2:
             raise ParseError(f"expected two node ids, got {line!r}", lineno)
-        pairs.append((int(parts[0]), int(parts[1])))
-    return MappingSet(n1=n1, n2=n2, pairs=tuple(sorted(set(pairs))))
+        try:
+            pairs.append((int(parts[0]), int(parts[1])))
+        except ValueError:
+            raise ParseError(f"node ids must be integers, got {line!r}", lineno) from None
+    return pairs
 
 
 def _emit_result(result, truth, out, started) -> None:
@@ -198,7 +192,7 @@ def _emit_result(result, truth, out, started) -> None:
     }
     click.echo(json.dumps(record, sort_keys=True))
     if out:
-        lines = [f"{i}\t{j}" for i, j in result.pairs()]
+        lines = [f"{i}\t{j}" for i, j in result.mapping.pairs]
         Path(out).write_text("\n".join(lines) + "\n")
 
 
@@ -231,9 +225,11 @@ def align_ea(g1_path, g2_path, alpha, eps, s1, s2, s3, matching, restrict, seed,
         scheme = ScoreScheme(s1, s2, s3)
     else:
         raise click.UsageError("provide --alpha or all of --s1/--s2/--s3")
-    mapping_set = _load_mapping_set(restrict, g1.n, g2.n)
+    mapping_set = None
+    if restrict is not None:
+        mapping_set = MappingSet(n1=g1.n, n2=g2.n, pairs=tuple(sorted(set(_read_pairs(restrict)))))
     if dump_alignment:
-        dense_set = MappingSet.full(g1.n, g2.n) if mapping_set == "full" else mapping_set
+        dense_set = MappingSet.full(g1.n, g2.n) if mapping_set is None else mapping_set
         a = build_alignment_matrix(g1, g2, scheme, dense_set)
         np.savetxt(dump_alignment, a, delimiter=",")
     result = eigen_align(g1, g2, scheme, mapping_set, matching=matching, seed=seed)
@@ -281,13 +277,7 @@ def align_brute(g1_path, g2_path, gamma, truth, out):
 def eval_cmd(g1_path, g2_path, mapping_tsv, gamma, truth):
     """Recount metrics from a stored mapping TSV."""
     g1, g2 = _load_graph(g1_path), _load_graph(g2_path)
-    pairs = []
-    for line in Path(mapping_tsv).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        i, j = line.split()
-        pairs.append((int(i), int(j)))
+    pairs = _read_pairs(mapping_tsv)
     matches, mismatches, neutrals = count_alignment(g1, g2, pairs)
     truth_perm = _load_truth(truth)
     record = {
@@ -342,24 +332,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cli.main(args=argv, standalone_mode=False)
         return 0
-    except click.UsageError as exc:
-        exc.show()
-        sys.exit(USAGE_EXIT)
     except click.ClickException as exc:
         exc.show()
         sys.exit(USAGE_EXIT)
-    except click.exceptions.Abort:
+    except click.exceptions.Abort:  # a RuntimeError, so it must precede the runtime branch
         sys.exit(USAGE_EXIT)
-    except (
-        ConfigError,
-        ParseError,
-        InfeasibleMatchingError,
-        ConvergenceError,
-        MemoryGuardError,
-        ValueError,
-        RuntimeError,
-        OSError,
-    ) as exc:
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(RUNTIME_EXIT)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 
@@ -141,9 +142,8 @@ def run_cell(pair_spec: dict, method_spec: dict, gamma: float, seed: int) -> dic
             raise ConfigError("ea requires gamma > 0 (gamma maps to alpha = (1-gamma)/gamma)")
         scheme = from_alpha((1 - gamma) / gamma, eps)
         restrict_k = method_spec.get("restrict_k")
-        if restrict_k is None:
-            mapping_set = "full"
-        else:
+        mapping_set = None
+        if restrict_k is not None:
             if truth is None:
                 raise ConfigError("restricted mapping sets require a pair with ground truth")
             mapping_set = sample_mapping_set(g1.n, truth, int(restrict_k), child_seed(seed, STREAM_MAPPING_SET))
@@ -162,7 +162,6 @@ def run_cell(pair_spec: dict, method_spec: dict, gamma: float, seed: int) -> dic
             gamma,
             rank_k=int(method_spec.get("rank", 3)),
             matching=method_spec.get("matching", "exact"),
-            seed=seed,
         )
     elif name == "brute":
         result = brute_force_qap(g1, g2, gamma)
@@ -240,8 +239,9 @@ def run_sweep(config: dict, jobs: int = 1, seeds_override: list[int] | None = No
         for gamma in method["gammas"]
         for seed in seeds
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(cells), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_cell_worker, cells))
     else:
         rows = [_cell_worker(cell) for cell in cells]

@@ -65,9 +65,6 @@ class Assignment:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.pairs)
-
 
 def _as_weight_mask(w: np.ndarray, allowed: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     w = np.asarray(w, dtype=np.float64)

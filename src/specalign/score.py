@@ -37,45 +37,27 @@ class MemoryGuardError(MemoryError):
 
 @dataclass(frozen=True)
 class ScoreScheme:
-    """Scores for matched, neutral, and mismatched mapping pairs.
+    """Scores ``s1``, ``s2``, ``s3`` for matched, neutral, and mismatched mapping pairs.
 
-    Requires ``match_score > neutral_score > mismatch_score > 0``; the
-    strict positivity keeps the alignment matrix entrywise positive, which
-    the leading-eigenvector step relies on. ``gamma`` is the derived
-    mismatch-penalty weight in [0, 1/2).
+    Requires ``s1 > s2 > s3 > 0``; the strict positivity keeps the
+    alignment matrix entrywise positive, which the leading-eigenvector step
+    relies on. ``gamma`` is the derived mismatch-penalty weight in [0, 1/2).
     """
 
-    match_score: float
-    neutral_score: float
-    mismatch_score: float
+    s1: float
+    s2: float
+    s3: float
 
     def __post_init__(self):
-        for name in ("match_score", "neutral_score", "mismatch_score"):
+        for name in ("s1", "s2", "s3"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        s1, s2, s3 = self.match_score, self.neutral_score, self.mismatch_score
+        s1, s2, s3 = self.s1, self.s2, self.s3
         if not (s1 > s2 > s3 > 0):
             raise ValueError(f"scores must satisfy match > neutral > mismatch > 0, got ({s1}, {s2}, {s3})")
 
     @property
-    def s1(self) -> float:
-        return self.match_score
-
-    @property
-    def s2(self) -> float:
-        return self.neutral_score
-
-    @property
-    def s3(self) -> float:
-        return self.mismatch_score
-
-    @property
     def gamma(self) -> float:
         return (self.s2 - self.s3) / (self.s1 + self.s2 - 2 * self.s3)
-
-    @property
-    def alpha(self) -> float:
-        """Match-to-neutral gap ratio; equals alpha for schemes built by from_alpha."""
-        return (self.s1 - self.s3) / (self.s2 - self.s3)
 
 
 def from_alpha(alpha: float, eps: float) -> ScoreScheme:

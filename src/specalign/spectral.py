@@ -40,10 +40,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def k(self) -> int:
-        return len(self.eigenvalues)
-
 
 def _orient(v: np.ndarray) -> np.ndarray:
     """Flip sign so the largest-magnitude entry is positive (seed-stable output)."""

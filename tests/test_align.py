@@ -37,12 +37,12 @@ class TestBruteForce:
 
     def test_n1(self):
         res = brute_force_qap(Graph.empty(1), Graph.empty(1), 0.0)
-        assert res.pairs() == ((0, 0),)
+        assert res.mapping.pairs == ((0, 0),)
 
     def test_edgeless_ties_resolve_to_identity(self):
         g = Graph.empty(4)
         res = brute_force_qap(g, g, 0.3)
-        assert res.pairs() == tuple((i, i) for i in range(4))
+        assert res.mapping.pairs == tuple((i, i) for i in range(4))
 
     def test_guard(self):
         g = Graph.empty(11)
@@ -91,7 +91,7 @@ class TestEigenAlign:
         g2 = apply_permutation(g1, truth)
         r = sample_mapping_set(12, truth, 2, 11)
         res = eigen_align(g1, g2, from_alpha(10, 0.001), r, seed=1)
-        assert all(pair in r for pair in res.pairs())
+        assert all(pair in r for pair in res.mapping.pairs)
 
     def test_rectangular_sizes(self):
         g1 = erdos_renyi(4, 0.5, 2)
@@ -121,12 +121,14 @@ class TestEigenAlign:
             eigen_align(g, g, ScoreScheme(4, 2, 1), r)
 
     def test_memory_guard_propagates(self):
-        from specalign.score import MemoryGuardError
+        from specalign.score import DEFAULT_DENSE_ENTRY_CAP, MemoryGuardError
 
-        g = erdos_renyi(6, 0.5, 0)
-        r = MappingSet.full(6, 6)
+        # the guard raises before the dense matrix is allocated
+        g = erdos_renyi(71, 0.5, 0)
+        r = MappingSet.full(71, 71)
+        assert len(r) ** 2 == 25_411_681 > DEFAULT_DENSE_ENTRY_CAP
         with pytest.raises(MemoryGuardError):
-            eigen_align(g, g, ScoreScheme(4, 2, 1), r, max_entries=10)
+            eigen_align(g, g, ScoreScheme(4, 2, 1), r)
 
     def test_objective_floor_against_brute_force(self):
         # empirical regression floor on a fixed harness: isomorphic dense
@@ -205,7 +207,7 @@ class TestLowRankAlign:
         g2 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
         res = low_rank_align(g1, g2, 0.1, rank_k=2)
         assert len(res.mapping) == 3
-        assert all(i < 3 and j < 5 for i, j in res.pairs())
+        assert all(i < 3 and j < 5 for i, j in res.mapping.pairs)
 
     def test_rank_guard(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from specalign import experiments
 from specalign.cli import main
 from specalign.experiments import run_cell, run_sweep, sweep_rows_to_csv
 from specalign.graph import load_edge_list
@@ -115,6 +116,7 @@ class TestAlign:
         )
         assert code == 0
         record = json.loads(out)
+        assert record["seed"] is None
         pairs = [tuple(map(int, line.split())) for line in out_tsv.read_text().splitlines()]
         g1 = load_edge_list((pair / "pair_g1.el").read_text())
         g2 = load_edge_list((pair / "pair_g2.el").read_text())
@@ -184,6 +186,33 @@ class TestAlign:
         code, _, _ = run_main(["align", "lra", "nope.el", "nope2.el", "--gamma", "0.1"], capsys)
         assert code == 2
 
+    def test_allocation_failure_exit_two(self, tmp_path, capsys):
+        # a 2e9-node graph needs 3.5 EiB of adjacency, which numpy refuses
+        # at once; a merely large size would be allocated lazily instead
+        huge = tmp_path / "huge.el"
+        huge.write_text("0 2000000000\n")
+        code, _, err = run_main(["align", "lra", str(huge), str(huge), "--gamma", "0.1"], capsys)
+        assert code == 2
+        assert err.startswith("error:")
+
+    def test_eval_bad_mapping_line_names_it(self, pair, capsys):
+        tsv = pair / "bad.tsv"
+        tsv.write_text("0\t0\n1 x\n")
+        code, _, err = run_main(["eval", str(pair / "pair_g1.el"), str(pair / "pair_g2.el"), str(tsv)], capsys)
+        assert code == 2
+        assert "line 2" in err
+
+    @pytest.mark.parametrize("bad_line", ["1 2 3", "1 x"])
+    def test_restrict_bad_line_names_it(self, pair, capsys, bad_line):
+        r_file = pair / "allowed.txt"
+        r_file.write_text(f"# allowed pairs\n0 0\n{bad_line}\n")
+        code, _, err = run_main(
+            ["align", "ea", str(pair / "pair_g1.el"), str(pair / "pair_g2.el"), "--alpha", "10", "--restrict", str(r_file)],
+            capsys,
+        )
+        assert code == 2
+        assert "line 3" in err
+
 
 class TestSweep:
     def test_deterministic_csv(self, tmp_path, capsys):
@@ -234,6 +263,35 @@ class TestSweep:
         cfg.write_text(json.dumps({"pair": {"family": "er", "n": 5, "p": 0.1}, "methods": [], "seeds": [1]}))
         code, _, _ = run_main(["sweep", str(cfg)], capsys)
         assert code == 1
+
+    @pytest.mark.parametrize("cpus, want", [(64, [3]), (2, [2]), (None, [])])
+    def test_worker_count_clamped(self, monkeypatch, cpus, want):
+        # a recorder stands in for the pool, so no process is started
+        created = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+        config = {
+            "pair": {"family": "er", "n": 8, "p": 0.3, "noise": "none"},
+            "methods": [{"name": "lra", "gammas": [0.1], "rank": 2}],
+            "seeds": [0, 1, 2],
+        }
+        rows = run_sweep(config, jobs=100_000)
+        assert created == want
+        assert [row["error"] for row in rows] == ["", "", ""]
 
     def test_partial_failure_recorded_per_row(self):
         config = {
