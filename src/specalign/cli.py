@@ -172,9 +172,12 @@ def _read_pairs(path: str) -> list[tuple[int, int]]:
         if len(parts) != 2:
             raise ParseError(f"expected two node ids, got {line!r}", lineno)
         try:
-            pairs.append((int(parts[0]), int(parts[1])))
+            i, j = int(parts[0]), int(parts[1])
         except ValueError:
             raise ParseError(f"node ids must be integers, got {line!r}", lineno) from None
+        if i < 0 or j < 0:
+            raise ParseError(f"node ids must be non-negative, got {line!r}", lineno)
+        pairs.append((i, j))
     return pairs
 
 

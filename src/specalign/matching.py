@@ -3,9 +3,12 @@
 The exact solver delegates the optimization to
 ``scipy.optimize.linear_sum_assignment`` and then normalizes the returned
 assignment to the lexicographically smallest optimum, so equal-weight ties
-resolve deterministically to the lowest (i, then j'). That solve also
-detects a mask with no full matching; only then is a Hall-violation
-witness built, from a Hopcroft-Karp maximum matching
+resolve deterministically to the lowest (i, then j'). The normalization
+works on one cost matrix, disallowed cells at +inf: it fixes rows in
+order, and tests each candidate (i, j') by one more solve on the rows
+after i and the columns still free. The first solve also detects a mask
+with no full matching; only then is a Hall-violation witness built, from
+a Hopcroft-Karp maximum matching
 (``scipy.sparse.csgraph.maximum_bipartite_matching``). The greedy variant
 implements the classic heaviest-cell sweep with a 1/2-approximation
 guarantee for non-negative weights, over one stable sort of the allowed
@@ -107,9 +110,8 @@ def _hall_violation(allowed: np.ndarray) -> tuple[list[int], list[int]]:
     return sorted(rows), sorted(cols)
 
 
-def _solve_lap(w: np.ndarray, allowed: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Max-weight full assignment of the smaller side, or None if infeasible."""
-    cost = np.where(allowed, -w, np.inf)
+def _solve_lap(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Min-cost full assignment of the smaller side, or None if infeasible."""
     try:
         return linear_sum_assignment(cost)
     except ValueError:
@@ -129,73 +131,53 @@ def hungarian_max_weight(w: np.ndarray, allowed: np.ndarray | None = None) -> As
     """
     w, allowed = _as_weight_mask(w, allowed)
     n1, n2 = w.shape
+    cost = np.where(allowed, -w, np.inf)
 
-    solved = _solve_lap(w, allowed)
+    solved = _solve_lap(cost)
     if solved is None:
         transposed = n1 > n2
         rows, cols = _hall_violation(allowed.T if transposed else allowed)
         raise InfeasibleMatchingError(rows, cols, transposed)
-    rr, cc = solved
-    optimum = float(w[rr, cc].sum())
+    optimum = float(w[solved].sum())
     tol = _TIE_TOL * max(1.0, abs(optimum))
 
     # Lexicographic normalization: fix (i, j') greedily in ascending order,
-    # keeping only choices that preserve the optimal total.
+    # keeping only choices that preserve the optimal total. Rows before i
+    # are matched or dropped, so each completion runs on rows i+1.. and the
+    # free columns.
     pairs: list[tuple[int, int]] = []
     fixed_weight = 0.0
-    free_rows = list(range(n1))
-    free_cols = list(range(n2))
+    free_cols = np.ones(n2, dtype=bool)
     target_size = min(n1, n2)
     for i in range(n1):
         if len(pairs) == target_size:
             break
-        remaining_rows = [r for r in free_rows if r != i]
-        committed = False
-        for j in free_cols:
-            if not allowed[i, j]:
-                continue
-            rest = _best_completion(w, allowed, remaining_rows, [c for c in free_cols if c != j], target_size - len(pairs) - 1)
-            if rest is None:
-                continue
-            if fixed_weight + w[i, j] + rest >= optimum - tol:
+        for j in np.flatnonzero(allowed[i] & free_cols).tolist():
+            free_cols[j] = False
+            rest = _best_completion(cost[i + 1 :, free_cols], target_size - len(pairs) - 1)
+            if rest is not None and fixed_weight + w[i, j] + rest >= optimum - tol:
                 pairs.append((i, j))
                 fixed_weight += float(w[i, j])
-                free_rows.remove(i)
-                free_cols.remove(j)
-                committed = True
                 break
-        if not committed:
+            free_cols[j] = True
+        else:
             # Row i is unmatched in every optimal solution (only possible when n1 > n2).
-            rest = _best_completion(w, allowed, remaining_rows, free_cols, target_size - len(pairs))
+            rest = _best_completion(cost[i + 1 :, free_cols], target_size - len(pairs))
             if rest is None or fixed_weight + rest < optimum - tol:
                 raise AssertionError("lexicographic normalization lost the optimum")
-            free_rows.remove(i)
     return Assignment(pairs=tuple(pairs), total_weight=float(w[tuple(zip(*pairs))].sum()) if pairs else 0.0)
 
 
-def _best_completion(
-    w: np.ndarray,
-    allowed: np.ndarray,
-    rows: list[int],
-    cols: list[int],
-    need: int,
-) -> float | None:
-    """Best total weight of a matching of size ``need`` on the given submatrix, or None."""
+def _best_completion(cost: np.ndarray, need: int) -> float | None:
+    """Best total weight of a matching of size ``need`` on a cost submatrix, or None."""
     if need == 0:
         return 0.0
-    if need > min(len(rows), len(cols)):
+    if need > min(cost.shape):
         return None
-    sub_w = w[np.ix_(rows, cols)]
-    sub_a = allowed[np.ix_(rows, cols)]
-    if len(rows) > len(cols):
-        sub_w, sub_a = sub_w.T, sub_a.T
-    solved = _solve_lap(sub_w, sub_a)
+    solved = _solve_lap(cost)
     if solved is None:
         return None
-    rr, cc = solved
-    if len(rr) < need:
-        return None
-    return float(sub_w[rr, cc].sum())
+    return -float(cost[solved].sum())
 
 
 def greedy_matching(w: np.ndarray, allowed: np.ndarray | None = None) -> Assignment:

@@ -32,21 +32,25 @@ def _pairs_of(mapping) -> list[tuple[int, int]]:
     cols = [j for _, j in pairs]
     if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
         raise ValueError("mapping must be one-to-one")
+    if pairs and min(min(rows), min(cols)) < 0:
+        raise ValueError("mapping node ids must be non-negative")
     return pairs
+
+
+def _mapped_blocks(g1: Graph, g2: Graph, mapping) -> tuple[np.ndarray, np.ndarray]:
+    """Int8 adjacency blocks of the mapped nodes of each graph, in pair order."""
+    pairs = _pairs_of(mapping)
+    rows = [i for i, _ in pairs]
+    cols = [j for _, j in pairs]
+    if pairs and (max(rows) >= g1.n or max(cols) >= g2.n):
+        raise ValueError("mapping references nodes outside the graphs")
+    return g1.adjacency[np.ix_(rows, rows)], g2.adjacency[np.ix_(cols, cols)]
 
 
 def count_alignment_ordered(g1: Graph, g2: Graph, mapping) -> tuple[int, int, int]:
     """Ordered-pair (match, mismatch, neutral) counts over mapped nodes, diagonal excluded."""
-    pairs = _pairs_of(mapping)
-    if not pairs:
-        return (0, 0, 0)
-    rows = [i for i, _ in pairs]
-    cols = [j for _, j in pairs]
-    if max(rows) >= g1.n or max(cols) >= g2.n:
-        raise ValueError("mapping references nodes outside the graphs")
-    b1 = g1.adjacency[np.ix_(rows, rows)].astype(np.int64)
-    b2 = g2.adjacency[np.ix_(cols, cols)].astype(np.int64)
-    off = ~np.eye(len(pairs), dtype=bool)
+    b1, b2 = _mapped_blocks(g1, g2, mapping)
+    off = ~np.eye(len(b1), dtype=bool)
     matches = int((b1 * b2)[off].sum())
     mismatches = int((b1 * (1 - b2) + (1 - b1) * b2)[off].sum())
     neutrals = int(((1 - b1) * (1 - b2))[off].sum())
@@ -72,13 +76,9 @@ def generalized_objective(g1: Graph, g2: Graph, mapping, gamma: float) -> float:
     """Trace objective Tr((G1 - gamma*J) X (G2 - gamma*J) X^T) of a mapping."""
     if not 0 <= gamma < 0.5:
         raise ValueError(f"gamma must lie in [0, 1/2), got {gamma}")
-    pairs = _pairs_of(mapping)
-    if not pairs:
-        return 0.0
-    rows = [i for i, _ in pairs]
-    cols = [j for _, j in pairs]
-    m1 = g1.as_float()[np.ix_(rows, rows)] - gamma
-    m2 = g2.as_float()[np.ix_(cols, cols)] - gamma
+    b1, b2 = _mapped_blocks(g1, g2, mapping)
+    m1 = b1.astype(np.float64) - gamma
+    m2 = b2.astype(np.float64) - gamma
     return float((m1 * m2).sum())
 
 

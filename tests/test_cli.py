@@ -195,14 +195,15 @@ class TestAlign:
         assert code == 2
         assert err.startswith("error:")
 
-    def test_eval_bad_mapping_line_names_it(self, pair, capsys):
+    @pytest.mark.parametrize("bad_line", ["1 x", "3 -1"])
+    def test_eval_bad_mapping_line_names_it(self, pair, capsys, bad_line):
         tsv = pair / "bad.tsv"
-        tsv.write_text("0\t0\n1 x\n")
+        tsv.write_text(f"0\t0\n{bad_line}\n")
         code, _, err = run_main(["eval", str(pair / "pair_g1.el"), str(pair / "pair_g2.el"), str(tsv)], capsys)
         assert code == 2
         assert "line 2" in err
 
-    @pytest.mark.parametrize("bad_line", ["1 2 3", "1 x"])
+    @pytest.mark.parametrize("bad_line", ["1 2 3", "1 x", "3 -1"])
     def test_restrict_bad_line_names_it(self, pair, capsys, bad_line):
         r_file = pair / "allowed.txt"
         r_file.write_text(f"# allowed pairs\n0 0\n{bad_line}\n")

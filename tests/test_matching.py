@@ -32,6 +32,28 @@ def brute_force_best(w, allowed=None):
     return best
 
 
+def lexicographic_optimum(w, allowed):
+    """Max-weight full assignment of the smaller side with the smallest row-order key, by enumeration.
+
+    The key lists each row's column in row order, an unmatched row counting
+    as +inf. Returns None when the mask admits no full assignment.
+    """
+    n1, n2 = w.shape
+    if n1 <= n2:
+        candidates = [list(enumerate(cols)) for cols in itertools.permutations(range(n2), n1)]
+    else:
+        candidates = [[(r, j) for j, r in enumerate(rows)] for rows in itertools.permutations(range(n1), n2)]
+    best = None
+    for pairs in candidates:
+        if not all(allowed[i, j] for i, j in pairs):
+            continue
+        col_of = dict(pairs)
+        rank = (-sum(w[i, j] for i, j in pairs), [col_of.get(i, np.inf) for i in range(n1)])
+        if best is None or rank < best[0]:
+            best = (rank, tuple(sorted(pairs)))
+    return None if best is None else best[1]
+
+
 def max_matching_size(allowed):
     """Size of a maximum matching of a mask with no more rows than columns, by enumeration."""
     n1, n2 = allowed.shape
@@ -140,6 +162,18 @@ class TestHungarian:
         rows, cols = err.value.deficient_rows, err.value.neighborhood
         assert cols == np.nonzero(side[rows].any(axis=0))[0].tolist()
         assert len(rows) - len(cols) == deficiency
+
+    @given(st.data())
+    def test_matches_lexicographic_oracle(self, data):
+        # integer weights 0-3 tie often, so the pair order is what is tested
+        shape = data.draw(shapes(5))
+        w = data.draw(arrays(np.int64, shape, elements=st.integers(0, 3))).astype(float)
+        allowed = data.draw(st.none() | arrays(np.bool_, shape, elements=st.sampled_from([False, True, True])))
+        want = lexicographic_optimum(w, np.ones(shape, dtype=bool) if allowed is None else allowed)
+        assume(want is not None)
+        a = hungarian_max_weight(w, allowed)
+        assert a.pairs == want
+        assert a.total_weight == sum(w[i, j] for i, j in want)
 
     def test_rejects_nonfinite_allowed_weights(self):
         w = np.array([[np.inf, 1.0], [1.0, 1.0]])

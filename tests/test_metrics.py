@@ -45,6 +45,20 @@ class TestCountAlignment:
         matches, mismatches, neutrals = count_alignment(g1, g2, mapping)
         assert (matches, mismatches, neutrals) == (1, 1, 0)
 
+    @pytest.mark.parametrize(
+        "measure",
+        [
+            lambda m: count_alignment(TRIANGLE, TRIANGLE, m),
+            lambda m: generalized_objective(TRIANGLE, TRIANGLE, m, 0.0),
+            lambda m: node_accuracy(m, Permutation.identity(3)),
+        ],
+        ids=["count", "objective", "accuracy"],
+    )
+    def test_negative_node_rejected(self, measure):
+        # numpy would wrap -1 to the last node
+        with pytest.raises(ValueError, match="non-negative"):
+            measure(((0, 0), (1, -1)))
+
     def test_not_one_to_one_rejected(self):
         with pytest.raises(ValueError, match="one-to-one"):
             count_alignment(TRIANGLE, TRIANGLE, ((0, 0), (1, 0)))
@@ -80,6 +94,10 @@ class TestGeneralizedObjective:
     def test_gamma_range(self):
         with pytest.raises(ValueError):
             generalized_objective(TRIANGLE, TRIANGLE, IDENTITY3, 0.5)
+
+    def test_out_of_range_node_rejected(self):
+        with pytest.raises(ValueError, match="outside"):
+            generalized_objective(TRIANGLE, TRIANGLE, ((0, 0), (1, 3)), 0.0)
 
     def test_affine_relation_to_score_objective(self):
         # trace objective == score objective / D + pair and diagonal offsets,
