@@ -19,12 +19,13 @@ import numpy as np
 from .align import brute_force_qap, eigen_align, low_rank_align
 from .experiments import (
     ConfigError,
+    cell_record,
     generate_graph,
     generate_pair,
     run_sweep,
     sweep_rows_to_csv,
 )
-from .graph import Graph, ParseError, Permutation, load_edge_list, write_edge_list
+from .graph import Graph, Permutation, load_edge_list, parse_id_pair, write_edge_list
 from .metrics import count_alignment, generalized_objective, node_accuracy
 from .score import MappingSet, ScoreScheme, build_alignment_matrix, from_alpha
 
@@ -163,37 +164,25 @@ def _load_truth(path: str | None) -> Permutation | None:
 
 def _read_pairs(path: str) -> list[tuple[int, int]]:
     """Node-id pairs of a two-column file, skipping blank and ``#`` lines."""
-    pairs = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(f"expected two node ids, got {line!r}", lineno)
-        try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"node ids must be integers, got {line!r}", lineno) from None
-        if i < 0 or j < 0:
-            raise ParseError(f"node ids must be non-negative, got {line!r}", lineno)
-        pairs.append((i, j))
-    return pairs
+    lines = (line.strip() for line in Path(path).read_text().splitlines())
+    return [
+        parse_id_pair(line, lineno)
+        for lineno, line in enumerate(lines, start=1)
+        if line and not line.startswith("#")
+    ]
+
+
+def _echo_record(record: dict) -> None:
+    """Print a metrics record as one JSON line: the sweep row without ``error``."""
+    del record["error"]
+    click.echo(json.dumps(record, sort_keys=True))
 
 
 def _emit_result(result, truth, out, started) -> None:
-    record = {
-        "method": result.method,
-        "gamma": result.gamma,
-        "seed": result.seed,
-        "matches": result.matches,
-        "mismatches": result.mismatches,
-        "neutrals": result.neutrals,
-        "objective": result.objective,
-        "accuracy": None if truth is None else node_accuracy(result.mapping, truth),
-        "wall_ms": (time.perf_counter() - started) * 1000.0,
-    }
-    click.echo(json.dumps(record, sort_keys=True))
+    scores = (result.matches, result.mismatches, result.neutrals, result.objective)
+    accuracy = None if truth is None else node_accuracy(result.mapping, truth)
+    wall_ms = (time.perf_counter() - started) * 1000.0
+    _echo_record(cell_record(result.method, result.gamma, result.seed, scores, accuracy, wall_ms))
     if out:
         lines = [f"{i}\t{j}" for i, j in result.mapping.pairs]
         Path(out).write_text("\n".join(lines) + "\n")
@@ -281,20 +270,10 @@ def eval_cmd(g1_path, g2_path, mapping_tsv, gamma, truth):
     """Recount metrics from a stored mapping TSV."""
     g1, g2 = _load_graph(g1_path), _load_graph(g2_path)
     pairs = _read_pairs(mapping_tsv)
-    matches, mismatches, neutrals = count_alignment(g1, g2, pairs)
+    scores = (*count_alignment(g1, g2, pairs), generalized_objective(g1, g2, pairs, gamma))
     truth_perm = _load_truth(truth)
-    record = {
-        "method": "eval",
-        "gamma": gamma,
-        "seed": None,
-        "matches": matches,
-        "mismatches": mismatches,
-        "neutrals": neutrals,
-        "objective": generalized_objective(g1, g2, pairs, gamma),
-        "accuracy": None if truth_perm is None else node_accuracy(pairs, truth_perm),
-        "wall_ms": None,
-    }
-    click.echo(json.dumps(record, sort_keys=True))
+    accuracy = None if truth_perm is None else node_accuracy(pairs, truth_perm)
+    _echo_record(cell_record("eval", gamma, None, scores, accuracy))
 
 
 # ------------------------------------------------------------------- sweep

@@ -33,6 +33,7 @@ from .score import from_alpha
 
 __all__ = [
     "ConfigError",
+    "cell_record",
     "child_seed",
     "generate_graph",
     "generate_pair",
@@ -67,6 +68,14 @@ DEFAULT_EA_EPS = 0.001
 
 class ConfigError(ValueError):
     """Invalid generator or sweep configuration."""
+
+
+def cell_record(method, gamma, seed, scores=(None,) * 4, accuracy=None, wall_ms=None, error="") -> dict:
+    """One metrics record keyed by ``CSV_COLUMNS``: a sweep row, or a CLI line.
+
+    ``scores`` is ``(matches, mismatches, neutrals, objective)``.
+    """
+    return dict(zip(CSV_COLUMNS, (method, gamma, seed, *scores, accuracy, wall_ms, error)))
 
 
 def child_seed(seed: int, stream: int) -> int:
@@ -169,18 +178,8 @@ def run_cell(pair_spec: dict, method_spec: dict, gamma: float, seed: int) -> dic
         raise ConfigError(f"unknown method {name!r}")
     wall_ms = (time.perf_counter() - start) * 1000.0
     accuracy = node_accuracy(result.mapping, truth) if truth is not None else None
-    return {
-        "method": name,
-        "gamma": gamma,
-        "seed": seed,
-        "matches": result.matches,
-        "mismatches": result.mismatches,
-        "neutrals": result.neutrals,
-        "objective": result.objective,
-        "accuracy": accuracy,
-        "wall_ms": wall_ms,
-        "error": "",
-    }
+    scores = (result.matches, result.mismatches, result.neutrals, result.objective)
+    return cell_record(name, gamma, seed, scores, accuracy, wall_ms)
 
 
 def _cell_worker(args: tuple[dict, dict, float, int]) -> dict:
@@ -188,29 +187,26 @@ def _cell_worker(args: tuple[dict, dict, float, int]) -> dict:
     try:
         return run_cell(pair_spec, method_spec, gamma, seed)
     except Exception as exc:  # per-cell failures become CSV rows
-        return {
-            "method": method_spec.get("name", "?"),
-            "gamma": gamma,
-            "seed": seed,
-            "matches": None,
-            "mismatches": None,
-            "neutrals": None,
-            "objective": None,
-            "accuracy": None,
-            "wall_ms": None,
-            "error": f"{type(exc).__name__}: {exc}",
-        }
+        return cell_record(method_spec.get("name", "?"), gamma, seed, error=f"{type(exc).__name__}: {exc}")
 
 
 def validate_config(config: dict) -> None:
+    if not isinstance(config, dict):
+        raise ConfigError("config must be a JSON object")
     if "pair" not in config:
         raise ConfigError("config is missing 'pair'")
+    if not isinstance(config["pair"], dict):
+        raise ConfigError("'pair' must be an object")
     methods = config.get("methods")
     if not methods:
         raise ConfigError("config must list at least one method")
+    if not isinstance(methods, list) or not all(isinstance(m, dict) for m in methods):
+        raise ConfigError("'methods' must be a list of objects")
     seeds = config.get("seeds")
     if not seeds:
         raise ConfigError("config must list at least one seed")
+    if not isinstance(seeds, list) or not all(isinstance(s, (int, float, str)) for s in seeds):
+        raise ConfigError("'seeds' must be a list of numbers or strings")
     if len(set(seeds)) != len(seeds):
         raise ConfigError("seeds must be distinct")
     for method in methods:
@@ -219,6 +215,8 @@ def validate_config(config: dict) -> None:
         gammas = method.get("gammas")
         if not gammas:
             raise ConfigError(f"method {method.get('name')!r} must list gammas")
+        if not isinstance(gammas, list) or not all(isinstance(g, (int, float)) for g in gammas):
+            raise ConfigError(f"method {method.get('name')!r} gammas must be a list of numbers")
         for gamma in gammas:
             if not 0 <= gamma < 0.5:
                 raise ConfigError(f"gamma {gamma} outside [0, 0.5)")
@@ -248,32 +246,28 @@ def run_sweep(config: dict, jobs: int = 1, seeds_override: list[int] | None = No
     return rows
 
 
+def _stat(values: list, stat: str) -> float | None:
+    if not values:
+        return None
+    if stat == "mean":
+        return float(np.mean(values))
+    return float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
+
+
 def aggregate_rows(rows: list[dict]) -> list[dict]:
     """Mean and sample-std rows per (method, gamma), over successful cells."""
     groups: dict[tuple[str, float], list[dict]] = {}
-    order: list[tuple[str, float]] = []
     for row in rows:
-        key = (row["method"], row["gamma"])
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
+        ok_rows = groups.setdefault((row["method"], row["gamma"]), [])
         if not row["error"]:
-            groups[key].append(row)
+            ok_rows.append(row)
     out = []
-    numeric = ["matches", "mismatches", "neutrals", "objective", "accuracy", "wall_ms"]
-    for key in order:
-        ok_rows = groups[key]
+    for (method, gamma), ok_rows in groups.items():
+        # the numeric columns: the four scores, accuracy and wall_ms
+        columns = [[r[col] for r in ok_rows if r[col] is not None] for col in CSV_COLUMNS[3:-1]]
         for stat in ("mean", "std"):
-            agg: dict = {"method": key[0], "gamma": key[1], "seed": stat, "error": ""}
-            for col in numeric:
-                values = [r[col] for r in ok_rows if r[col] is not None]
-                if not values:
-                    agg[col] = None
-                elif stat == "mean":
-                    agg[col] = float(np.mean(values))
-                else:
-                    agg[col] = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
-            out.append(agg)
+            *scores, accuracy, wall_ms = (_stat(values, stat) for values in columns)
+            out.append(cell_record(method, gamma, stat, scores, accuracy, wall_ms))
     return out
 
 
@@ -290,5 +284,5 @@ def sweep_rows_to_csv(rows: list[dict]) -> str:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for row in rows + aggregate_rows(rows):
-        writer.writerow([_format_cell(row.get(col)) for col in CSV_COLUMNS])
+        writer.writerow([_format_cell(row[col]) for col in CSV_COLUMNS])
     return buffer.getvalue()

@@ -17,6 +17,7 @@ __all__ = [
     "Permutation",
     "ParseError",
     "load_edge_list",
+    "parse_id_pair",
     "write_edge_list",
     "apply_permutation",
     "pad_to",
@@ -84,6 +85,8 @@ class Graph:
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop ({u},{v}) is not allowed")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u},{v}) has a node id outside [0, {n})")
             adj[u, v] = 1
             if not directed:
                 adj[v, u] = 1
@@ -144,6 +147,20 @@ class Permutation:
         return hash(self.mapping.tobytes())
 
 
+def parse_id_pair(line: str, lineno: int) -> tuple[int, int]:
+    """The two non-negative integer ids of a stripped "u v" edge-list or mapping line."""
+    parts = line.split()
+    if len(parts) != 2:
+        raise ParseError(f"expected two node ids, got {line!r}", lineno)
+    try:
+        u, v = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise ParseError(f"node ids must be integers, got {line!r}", lineno) from None
+    if u < 0 or v < 0:
+        raise ParseError(f"node ids must be non-negative, got {line!r}", lineno)
+    return u, v
+
+
 def load_edge_list(text: str | Iterable[str]) -> Graph:
     """Parse an edge-list document into a :class:`Graph`.
 
@@ -182,15 +199,7 @@ def load_edge_list(text: str | Iterable[str]) -> Graph:
                 saw_directive_after_edges = True
             directed = line == "directed"
             continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(f"expected two node ids, got {line!r}", lineno)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"node ids must be integers, got {line!r}", lineno) from None
-        if u < 0 or v < 0:
-            raise ParseError(f"node ids must be non-negative, got {line!r}", lineno)
+        u, v = parse_id_pair(line, lineno)
         if u == v:
             raise ParseError(f"self-loop {u} {v} is not allowed", lineno)
         edges.append((u, v))

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specalign.align import (
     brute_force_qap,
@@ -148,6 +150,26 @@ class TestEigenAlign:
             if ea.objective >= 0.5 * bf.objective - 1e-12:
                 ok += 1
         assert ok >= 90
+
+
+class TestNeverAboveOptimum:
+    # power iteration on a tiny pair can take a second, past the default deadline
+    @settings(deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        densities=st.tuples(st.floats(0, 1), st.floats(0, 1)),
+        seeds=st.tuples(st.integers(0, 2**31 - 1), st.integers(0, 2**31 - 1)),
+        gamma=st.integers(0, 499).map(lambda k: k / 1000),
+        matching=st.sampled_from(["exact", "greedy"]),
+    )
+    def test_spectral_objective_at_most_brute_force(self, n, densities, seeds, gamma, matching):
+        g1, g2 = (erdos_renyi(n, p, seed) for p, seed in zip(densities, seeds))
+        lra = low_rank_align(g1, g2, gamma, rank_k=min(3, n), matching=matching)
+        assert lra.objective <= brute_force_qap(g1, g2, gamma).objective + 1e-9
+        if gamma > 0:
+            scheme = from_alpha((1 - gamma) / gamma, 0.001)
+            ea = eigen_align(g1, g2, scheme, matching=matching)
+            assert ea.objective <= brute_force_qap(g1, g2, scheme.gamma).objective + 1e-9
 
 
 class TestOrthogonalRelaxation:

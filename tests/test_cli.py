@@ -6,7 +6,7 @@ import pytest
 
 from specalign import experiments
 from specalign.cli import main
-from specalign.experiments import run_cell, run_sweep, sweep_rows_to_csv
+from specalign.experiments import CSV_COLUMNS, aggregate_rows, run_cell, run_sweep, sweep_rows_to_csv
 from specalign.graph import load_edge_list
 from specalign.metrics import count_alignment
 
@@ -30,6 +30,14 @@ def strip_wall(rows):
     idx = rows[0].index("wall_ms")
     return [[c for k, c in enumerate(r) if k != idx] for r in rows]
 
+
+RECORD_KEYS = set(CSV_COLUMNS) - {"error"}  # the keys of a CLI JSON line
+
+SMALL_CONFIG = {
+    "pair": {"family": "er", "n": 5, "p": 0.3},
+    "methods": [{"name": "lra", "gammas": [0.1]}],
+    "seeds": [0],
+}
 
 MINI_CONFIG = {
     "pair": {"family": "er", "n": 12, "p": 0.25, "noise": "none"},
@@ -104,9 +112,9 @@ class TestAlign:
         )
         assert code == 0
         record = json.loads(out)
+        assert record.keys() == RECORD_KEYS
         assert record["method"] == "ea"
         assert record["mismatches"] >= 0
-        assert "wall_ms" in record
 
     def test_lra_with_mapping_output(self, pair, capsys):
         out_tsv = pair / "map.tsv"
@@ -174,6 +182,7 @@ class TestAlign:
         )
         assert code == 0
         eval_record = json.loads(out)
+        assert eval_record.keys() == RECORD_KEYS
         for key in ("matches", "mismatches", "neutrals", "accuracy"):
             assert eval_record[key] == align_record[key]
         assert eval_record["objective"] == pytest.approx(align_record["objective"])
@@ -265,6 +274,26 @@ class TestSweep:
         code, _, _ = run_main(["sweep", str(cfg)], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            5,
+            {**SMALL_CONFIG, "pair": "er"},
+            {**SMALL_CONFIG, "methods": ["ea"]},
+            {**SMALL_CONFIG, "seeds": 5},
+            {**SMALL_CONFIG, "seeds": [[1]]},
+            {**SMALL_CONFIG, "seeds": [None]},
+            {**SMALL_CONFIG, "methods": [{"name": "lra", "gammas": 0.2}]},
+        ],
+        ids=["not-object", "pair-string", "method-string", "seeds-int", "seed-list", "seed-null", "gammas-float"],
+    )
+    def test_wrong_typed_config_usage_error(self, tmp_path, capsys, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, _, err = run_main(["sweep", str(cfg)], capsys)
+        assert code == 1
+        assert "Error:" in err
+
     @pytest.mark.parametrize("cpus, want", [(64, [3]), (2, [2]), (None, [])])
     def test_worker_count_clamped(self, monkeypatch, cpus, want):
         # a recorder stands in for the pool, so no process is started
@@ -303,6 +332,8 @@ class TestSweep:
         rows = run_sweep(config)
         assert rows[0]["error"] != ""  # brute refuses n=12
         assert rows[1]["error"] == ""
+        for row in rows + aggregate_rows(rows):  # failed, solved, mean and std rows
+            assert row.keys() == set(CSV_COLUMNS)
         text = sweep_rows_to_csv(rows)
         assert "brute force is limited" in text
 

@@ -84,6 +84,12 @@ class TestGraphValidation:
         with pytest.raises(ValueError, match="self-loops"):
             Graph(adj)
 
+    @pytest.mark.parametrize("edge", [(0, -1), (0, 3), (-3, 1)])
+    def test_from_edges_rejects_out_of_range_ids(self, edge):
+        # numpy would wrap a negative id onto the last node
+        with pytest.raises(ValueError, match=r"outside \[0, 3\)"):
+            Graph.from_edges(3, [edge])
+
     def test_adjacency_is_frozen(self):
         g = Graph.empty(2)
         with pytest.raises(ValueError):
