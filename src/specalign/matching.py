@@ -1,14 +1,23 @@
 """Maximum-weight bipartite matching, exact and greedy.
 
-The exact solver delegates the optimization to
-``scipy.optimize.linear_sum_assignment`` and then normalizes the returned
-assignment to the lexicographically smallest optimum, so equal-weight ties
-resolve deterministically to the lowest (i, then j'). The normalization
-works on one cost matrix, disallowed cells at +inf: it fixes rows in
-order, and tests each candidate (i, j') by one more solve on the rows
-after i and the columns still free. The first solve also detects a mask
-with no full matching; only then is a Hall-violation witness built, from
-a Hopcroft-Karp maximum matching
+The exact solver makes one ``scipy.optimize.linear_sum_assignment`` solve
+on a cost matrix with disallowed cells at +inf, and then normalizes the
+returned assignment to the lexicographically smallest optimum, so
+equal-weight ties resolve deterministically to the lowest (i, then j').
+The normalization tests each candidate (i, j') by one more solve on the
+rows after i and the columns still free, so it runs only where a tie can
+reach. Every near-optimal assignment differs from the solved one by
+exchange cycles (Klein's cycle-cancelling condition), so the exchange
+graph on the smaller side, with a pool node for the columns nobody takes,
+gives each pair its cheapest cycle by Floyd-Warshall. A pair whose cycle
+loses more than the tie tolerance is *pinned*: it is in every optimum
+within the tolerance. Only the other, *flexible* pairs' rows are
+normalized, against the columns no pinned pair takes; a unique optimum
+costs one solve. When any cycle loss lies within 0.1% of the tolerance,
+where summation order could decide it, the whole problem is normalized
+instead (the fallback). The first solve also detects a mask with no full
+matching; only then is a Hall-violation witness built, from a
+Hopcroft-Karp maximum matching
 (``scipy.sparse.csgraph.maximum_bipartite_matching``). The greedy variant
 implements the classic heaviest-cell sweep with a 1/2-approximation
 guarantee for non-negative weights, over one stable sort of the allowed
@@ -32,6 +41,9 @@ __all__ = [
 ]
 
 _TIE_TOL = 1e-9
+# A pair whose cycle loss lies this close to the tolerance, relative to it,
+# could flip under summation-order noise: normalise the whole problem.
+_FALLBACK_BAND = 1e-3
 
 
 class InfeasibleMatchingError(ValueError):
@@ -134,38 +146,95 @@ def hungarian_max_weight(w: np.ndarray, allowed: np.ndarray | None = None) -> As
     cost = np.where(allowed, -w, np.inf)
 
     solved = _solve_lap(cost)
+    transposed = n1 > n2
     if solved is None:
-        transposed = n1 > n2
         rows, cols = _hall_violation(allowed.T if transposed else allowed)
         raise InfeasibleMatchingError(rows, cols, transposed)
     optimum = float(w[solved].sum())
     tol = _TIE_TOL * max(1.0, abs(optimum))
 
-    # Lexicographic normalization: fix (i, j') greedily in ascending order,
-    # keeping only choices that preserve the optimal total. Rows before i
-    # are matched or dropped, so each completion runs on rows i+1.. and the
-    # free columns.
+    # The exchange graph lives on the smaller side; a tall matrix is
+    # handled as its transpose, with the columns as the pairs' owners.
+    owners, taken = solved[::-1] if transposed else solved
+    loss = _cycle_losses(cost.T if transposed else cost, owners, taken)
+    if np.any(np.abs(loss - tol) <= _FALLBACK_BAND * tol):
+        pinned = np.zeros(loss.shape, dtype=bool)
+    else:
+        pinned = loss > tol
+    pinned_rows, pinned_cols = solved[0][pinned], solved[1][pinned]
+    flexible_rows = np.setdiff1d(np.arange(n1), pinned_rows)
+    flexible_cols = np.setdiff1d(np.arange(n2), pinned_cols)
+    pinned_weight = float(w[pinned_rows, pinned_cols].sum())
+    pairs = list(zip(pinned_rows.tolist(), pinned_cols.tolist()))
+    pairs += _normalise(cost, flexible_rows, flexible_cols, optimum - pinned_weight, tol)
+    pairs.sort()
+    return Assignment(pairs=tuple(pairs), total_weight=float(w[tuple(zip(*pairs))].sum()) if pairs else 0.0)
+
+
+def _cycle_losses(cost: np.ndarray, owners: np.ndarray, taken: np.ndarray) -> np.ndarray:
+    """Weight lost by the cheapest exchange cycle through each pair of an optimum.
+
+    ``cost`` has no more rows than columns and (``owners[p]``, ``taken[p]``)
+    is a min-cost full assignment of its rows. Node p of the exchange graph
+    is that pair; edge p -> q is row ``owners[p]`` taking column
+    ``taken[q]`` instead of its own, and a pool node stands for the columns
+    no row takes: p -> pool takes row p's best such column, and pool -> q
+    releases ``taken[q]`` at no cost. Any other assignment differs from
+    the optimum by exchange cycles, each passing the pool at most once and
+    none gaining weight, so an assignment within a tolerance of the optimum
+    keeps every pair whose cheapest cycle loses more than that tolerance.
+    Floyd-Warshall makes a fixed number of passes, so float-noise cycles of
+    slightly negative weight cannot keep it from terminating.
+    """
+    held = cost[owners, taken]
+    graph = cost[np.ix_(owners, taken)] - held[:, None]
+    free = np.ones(cost.shape[1], dtype=bool)
+    free[taken] = False
+    if free.any():
+        pool = cost[np.ix_(owners, np.flatnonzero(free))].min(axis=1) - held
+        graph = np.vstack([np.column_stack([graph, pool]), np.zeros(len(held) + 1)])
+    np.fill_diagonal(graph, np.inf)
+    via = np.empty_like(graph)
+    for k in range(len(graph)):
+        np.add(graph[:, k, None], graph[k], out=via)
+        np.minimum(graph, via, out=graph)
+    return graph.diagonal()[: len(held)]
+
+
+def _normalise(
+    cost: np.ndarray, rows: np.ndarray, cols: np.ndarray, optimum: float, tol: float
+) -> list[tuple[int, int]]:
+    """Lexicographically smallest assignment of ``rows`` to ``cols`` within ``tol`` of ``optimum``.
+
+    Works on the submatrix ``cost[rows, cols]`` and returns the pairs in
+    the full matrix's indices. Pairs (i, j') are fixed greedily in
+    ascending order, keeping only choices that preserve the optimal total.
+    Rows before i are matched or dropped, so each completion runs on rows
+    i+1.. and the free columns.
+    """
+    cost = cost[np.ix_(rows, cols)]
+    rows, cols = rows.tolist(), cols.tolist()
     pairs: list[tuple[int, int]] = []
     fixed_weight = 0.0
-    free_cols = np.ones(n2, dtype=bool)
-    target_size = min(n1, n2)
-    for i in range(n1):
+    free_cols = np.ones(len(cols), dtype=bool)
+    target_size = min(cost.shape)
+    for i in range(len(rows)):
         if len(pairs) == target_size:
             break
-        for j in np.flatnonzero(allowed[i] & free_cols).tolist():
+        for j in np.flatnonzero(np.isfinite(cost[i]) & free_cols).tolist():
             free_cols[j] = False
             rest = _best_completion(cost[i + 1 :, free_cols], target_size - len(pairs) - 1)
-            if rest is not None and fixed_weight + w[i, j] + rest >= optimum - tol:
-                pairs.append((i, j))
-                fixed_weight += float(w[i, j])
+            if rest is not None and fixed_weight - cost[i, j] + rest >= optimum - tol:
+                pairs.append((rows[i], cols[j]))
+                fixed_weight -= float(cost[i, j])
                 break
             free_cols[j] = True
         else:
-            # Row i is unmatched in every optimal solution (only possible when n1 > n2).
+            # Row i is unmatched in every optimal solution (only possible with more rows than columns).
             rest = _best_completion(cost[i + 1 :, free_cols], target_size - len(pairs))
             if rest is None or fixed_weight + rest < optimum - tol:
                 raise AssertionError("lexicographic normalization lost the optimum")
-    return Assignment(pairs=tuple(pairs), total_weight=float(w[tuple(zip(*pairs))].sum()) if pairs else 0.0)
+    return pairs
 
 
 def _best_completion(cost: np.ndarray, need: int) -> float | None:

@@ -1,0 +1,94 @@
+"""Test-only oracle: the O(n²)-LAP lexicographic tie-break, kept verbatim.
+
+``hungarian_max_weight`` below is the exact matcher as it was before the
+one-LAP exchange-graph reduction. It normalises every row by one more LAP
+solve per candidate (i, j'), so it is slow but simple, and the property
+tests in ``test_matching.py`` require the fast matcher to return the same
+``pairs`` and ``total_weight`` bit for bit. It calls scipy's
+``linear_sum_assignment`` directly, so tests that count the LAP calls of
+``specalign.matching`` never see it. Do not edit the copied functions.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from scipy.optimize import linear_sum_assignment
+
+from specalign.matching import (
+    Assignment,
+    InfeasibleMatchingError,
+    _as_weight_mask,
+    _hall_violation,
+)
+
+_TIE_TOL = 1e-9
+
+
+def _solve_lap(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Min-cost full assignment of the smaller side, or None if infeasible."""
+    try:
+        return linear_sum_assignment(cost)
+    except ValueError:
+        return None
+
+
+def hungarian_max_weight(w: np.ndarray, allowed: np.ndarray | None = None) -> Assignment:
+    """Maximum-weight one-to-one assignment covering the smaller side.
+
+    Disallowed cells are excluded outright (no -inf sentinels in weights).
+    Among maximum-weight assignments, returns the lexicographically
+    smallest one: pairs are decided row by row, preferring the smallest
+    feasible column that still permits an optimal completion.
+
+    Raises :class:`InfeasibleMatchingError` with a Hall-violation witness
+    when the mask admits no full matching of the smaller side.
+    """
+    w, allowed = _as_weight_mask(w, allowed)
+    n1, n2 = w.shape
+    cost = np.where(allowed, -w, np.inf)
+
+    solved = _solve_lap(cost)
+    if solved is None:
+        transposed = n1 > n2
+        rows, cols = _hall_violation(allowed.T if transposed else allowed)
+        raise InfeasibleMatchingError(rows, cols, transposed)
+    optimum = float(w[solved].sum())
+    tol = _TIE_TOL * max(1.0, abs(optimum))
+
+    # Lexicographic normalization: fix (i, j') greedily in ascending order,
+    # keeping only choices that preserve the optimal total. Rows before i
+    # are matched or dropped, so each completion runs on rows i+1.. and the
+    # free columns.
+    pairs: list[tuple[int, int]] = []
+    fixed_weight = 0.0
+    free_cols = np.ones(n2, dtype=bool)
+    target_size = min(n1, n2)
+    for i in range(n1):
+        if len(pairs) == target_size:
+            break
+        for j in np.flatnonzero(allowed[i] & free_cols).tolist():
+            free_cols[j] = False
+            rest = _best_completion(cost[i + 1 :, free_cols], target_size - len(pairs) - 1)
+            if rest is not None and fixed_weight + w[i, j] + rest >= optimum - tol:
+                pairs.append((i, j))
+                fixed_weight += float(w[i, j])
+                break
+            free_cols[j] = True
+        else:
+            # Row i is unmatched in every optimal solution (only possible when n1 > n2).
+            rest = _best_completion(cost[i + 1 :, free_cols], target_size - len(pairs))
+            if rest is None or fixed_weight + rest < optimum - tol:
+                raise AssertionError("lexicographic normalization lost the optimum")
+    return Assignment(pairs=tuple(pairs), total_weight=float(w[tuple(zip(*pairs))].sum()) if pairs else 0.0)
+
+
+def _best_completion(cost: np.ndarray, need: int) -> float | None:
+    """Best total weight of a matching of size ``need`` on a cost submatrix, or None."""
+    if need == 0:
+        return 0.0
+    if need > min(cost.shape):
+        return None
+    solved = _solve_lap(cost)
+    if solved is None:
+        return None
+    return -float(cost[solved].sum())

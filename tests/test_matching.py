@@ -6,6 +6,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import specalign.matching
+from matching_oracle import hungarian_max_weight as oracle_max_weight
 from specalign.matching import (
     Assignment,
     InfeasibleMatchingError,
@@ -79,6 +81,32 @@ def reference_greedy(w, allowed):
 def shapes(max_side):
     sides = st.integers(1, max_side)
     return st.tuples(sides, sides) | sides.map(lambda n: (n, n))
+
+
+@st.composite
+def tied_instances(draw, orientation):
+    """Weights with many exact and ulp-level ties, and a feasible mask or none.
+
+    Integer weights 0-3 tie exactly; one-decimal weights tie up to an ulp,
+    since sums such as 0.1 + 0.2 and 0.3 differ in the last bit. One row
+    and one column may be exact copies of another, and a mask always
+    keeps one full matching of the smaller side.
+    """
+    small = draw(st.integers(1, 6))
+    big = small if orientation == "square" else small + draw(st.integers(1, 3))
+    shape = (big, small) if orientation == "tall" else (small, big)
+    integers, decimals = st.integers(0, 3).map(float), st.integers(0, 10).map(lambda k: k / 10)
+    w = draw(arrays(np.float64, shape, elements=draw(st.sampled_from([integers, decimals])), fill=st.nothing()))
+    for axis in (0, 1):
+        if shape[axis] > 1 and draw(st.booleans()):
+            src, dst = draw(st.lists(st.integers(0, shape[axis] - 1), min_size=2, max_size=2, unique=True))
+            np.moveaxis(w, axis, 0)[dst] = np.moveaxis(w, axis, 0)[src]
+    allowed = draw(st.none() | arrays(np.bool_, shape, elements=st.sampled_from([False, True, True])))
+    if allowed is not None:
+        cols = draw(st.permutations(range(big)))[:small]
+        rows, cols = (cols, range(small)) if orientation == "tall" else (range(small), cols)
+        allowed[list(rows), list(cols)] = True
+    return w, allowed
 
 
 class TestHungarian:
@@ -188,6 +216,85 @@ class TestHungarian:
         w = np.round(rng.standard_normal((n1, n2)) * 5, 2)
         a = hungarian_max_weight(w)
         assert a.total_weight == pytest.approx(brute_force_best(w), abs=1e-9)
+
+
+def normalised_rows(monkeypatch):
+    """Record the row subset of every normalisation the matcher runs."""
+    seen = []
+    normalise = specalign.matching._normalise
+
+    def spy(cost, rows, cols, optimum, tol):
+        seen.append(rows.tolist())
+        return normalise(cost, rows, cols, optimum, tol)
+
+    monkeypatch.setattr(specalign.matching, "_normalise", spy)
+    return seen
+
+
+class TestTieBreakAgainstOracle:
+    """The exchange-graph matcher against the verbatim O(n²)-LAP normalisation."""
+
+    @pytest.mark.parametrize("orientation", ["wide", "square", "tall"])
+    @given(data=st.data())
+    @settings(max_examples=150)
+    def test_matches_oracle(self, orientation, data):
+        w, allowed = data.draw(tied_instances(orientation))
+        want = oracle_max_weight(w, allowed)
+        got = hungarian_max_weight(w, allowed)
+        assert got.pairs == want.pairs
+        assert got.total_weight == want.total_weight
+
+    @pytest.mark.parametrize(
+        "w",
+        [
+            # the second-best assignment loses 1e-9, exactly the tolerance
+            [[1.0, 1.0 - 1e-9], [0.0, 0.0]],
+            # the same near-tie beside a row no exchange can move (tol = 6e-9)
+            [[1.0, 1.0 - 6e-9, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 5.0]],
+        ],
+    )
+    def test_loss_at_the_tolerance_normalises_every_row(self, monkeypatch, w):
+        w = np.array(w)
+        seen = normalised_rows(monkeypatch)
+        got = hungarian_max_weight(w)
+        assert seen == [list(range(len(w)))]
+        want = oracle_max_weight(w)
+        assert (got.pairs, got.total_weight) == (want.pairs, want.total_weight)
+
+    @pytest.mark.parametrize("shape", [(4, 4), (3, 5), (5, 3)])
+    def test_equal_rows_are_all_flexible(self, monkeypatch, shape):
+        w = np.tile(np.array([3.0, 1.0, 2.0, 0.5, 2.5])[: shape[1]], (shape[0], 1))
+        seen = normalised_rows(monkeypatch)
+        got = hungarian_max_weight(w)
+        assert seen == [list(range(shape[0]))]
+        want = oracle_max_weight(w)
+        assert (got.pairs, got.total_weight) == (want.pairs, want.total_weight)
+
+    def test_ulp_near_tie_is_flexible(self, monkeypatch):
+        # 0.1 + 0.2 beats 0.3 + 0.0 by one ulp, so the LAP takes the
+        # anti-diagonal, but the diagonal is within the tolerance and first
+        w = np.array([[0.3, 0.1], [0.2, 0.0]])
+        seen = normalised_rows(monkeypatch)
+        got = hungarian_max_weight(w)
+        assert seen == [[0, 1]]
+        assert got.pairs == ((0, 0), (1, 1))
+        want = oracle_max_weight(w)
+        assert (got.pairs, got.total_weight) == (want.pairs, want.total_weight)
+
+    def test_unique_optimum_needs_one_lap(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        w = rng.random((30, 30)) + 30.0 * np.eye(30)
+        calls = []
+        lap = specalign.matching.linear_sum_assignment
+
+        def counting(cost):
+            calls.append(cost.shape)
+            return lap(cost)
+
+        monkeypatch.setattr(specalign.matching, "linear_sum_assignment", counting)
+        a = hungarian_max_weight(w)
+        assert a.pairs == tuple((i, i) for i in range(30))
+        assert calls == [(30, 30)]
 
 
 class TestGreedy:
