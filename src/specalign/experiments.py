@@ -222,6 +222,8 @@ def validate_config(config: dict) -> None:
                 raise ConfigError(f"gamma {gamma} outside [0, 0.5)")
             if method.get("name") == "ea" and gamma <= 0:
                 raise ConfigError("ea gammas must be positive (gamma maps to alpha)")
+        if method.get("matching", "exact") not in ("exact", "greedy"):
+            raise ConfigError(f"method {method.get('name')!r} matching {method['matching']!r} is not 'exact' or 'greedy'")
         if method.get("restrict_k") is not None and config["pair"].get("family") == "er_sbm":
             raise ConfigError("restricted mapping sets require a pair with ground truth")
 

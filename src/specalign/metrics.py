@@ -50,11 +50,9 @@ def _mapped_blocks(g1: Graph, g2: Graph, mapping) -> tuple[np.ndarray, np.ndarra
 def count_alignment_ordered(g1: Graph, g2: Graph, mapping) -> tuple[int, int, int]:
     """Ordered-pair (match, mismatch, neutral) counts over mapped nodes, diagonal excluded."""
     b1, b2 = _mapped_blocks(g1, g2, mapping)
-    off = ~np.eye(len(b1), dtype=bool)
-    matches = int((b1 * b2)[off].sum())
-    mismatches = int((b1 * (1 - b2) + (1 - b1) * b2)[off].sum())
-    neutrals = int(((1 - b1) * (1 - b2))[off].sum())
-    return matches, mismatches, neutrals
+    # code 2*b1 + b2: 0 neutral, 1 and 2 mismatch, 3 match; the m diagonal cells are neutral
+    neutral, only_g2, only_g1, match = np.bincount((2 * b1 + b2).ravel(), minlength=4).tolist()
+    return match, only_g1 + only_g2, neutral - len(b1)
 
 
 def count_alignment(g1: Graph, g2: Graph, mapping) -> tuple[int, int, int]:

@@ -3,12 +3,15 @@
 The alignment matrix A lives on candidate node mappings: entry
 A[(i,j'),(r,s')] scores the pair of mappings by whether the underlying
 edges agree (match), disagree (mismatch), or are both absent (neutral).
-A is available both as an explicit dense matrix over a restricted mapping
-set and as a matrix-free operator over the full product set.
+Only :func:`alignment_entry` and :func:`directed_alignment_entry` compute
+these scores. A is available both as a dense matrix over a mapping set,
+whose entries are looked up from those rules, and as a matrix-free
+operator over the full product set.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -155,11 +158,12 @@ def build_alignment_matrix(
 ) -> np.ndarray:
     """Dense |R| x |R| alignment matrix over the given mapping set.
 
-    Entries follow :func:`alignment_entry` on (G1(i,r), G2(j',s'));
-    the diagonal is the neutral score (the zero adjacency diagonal makes
-    this automatic). All entries are strictly positive. Refuses to build
-    when |R|^2 exceeds ``max_entries``; use :func:`alignment_matvec` for
-    large unrestricted problems instead.
+    Each entry is looked up by its edge code from a table of
+    :func:`alignment_entry` (directed: :func:`directed_alignment_entry`)
+    values, so the graphs are not copied to float. The zero adjacency
+    diagonal makes the diagonal neutral. All entries are strictly positive.
+    Refuses to build when |R|^2 exceeds ``max_entries``; use
+    :func:`alignment_matvec` for large unrestricted problems instead.
     """
     if mapping_set.n1 != g1.n or mapping_set.n2 != g2.n:
         raise ValueError(
@@ -174,22 +178,15 @@ def build_alignment_matrix(
             "use the implicit operator (alignment_matvec) for full mapping sets"
         )
     rows, cols = mapping_set.rows_cols()
-    e1 = g1.as_float()[np.ix_(rows, rows)]
-    e2 = g2.as_float()[np.ix_(cols, cols)]
-    if not g1.directed:
-        return (s.s1 + s.s2 - 2 * s.s3) * e1 * e2 + (s.s3 - s.s2) * (e1 + e2) + s.s2
-
-    e1b, e2b = e1.T, e2.T
-    fwd_match = (e1 == 1) & (e2 == 1)
-    bwd_match = (e1b == 1) & (e2b == 1)
-    fwd_mismatch = (e1 + e2) == 1
-    bwd_mismatch = (e1b + e2b) == 1
-    inconsistent = (fwd_match & bwd_mismatch) | (bwd_match & fwd_mismatch)
-    out = np.full((r, r), s.s2, dtype=np.float64)
-    out[fwd_mismatch | bwd_mismatch] = s.s3
-    out[fwd_match | bwd_match] = s.s1
-    out[inconsistent] = (s.s1 + s.s3) / 2.0
-    return out
+    e1 = g1.adjacency[np.ix_(rows, rows)]
+    e2 = g2.adjacency[np.ix_(cols, cols)]
+    if g1.directed:
+        code = 8 * e1 + 4 * e1.T + 2 * e2 + e2.T
+        table = [directed_alignment_entry(s, *bits) for bits in itertools.product((0, 1), repeat=4)]
+    else:
+        code = 2 * e1 + e2
+        table = [alignment_entry(s, *bits) for bits in itertools.product((0, 1), repeat=2)]
+    return np.array(table)[code]
 
 
 def alignment_matvec(g1: Graph, g2: Graph, s: ScoreScheme, y: np.ndarray) -> np.ndarray:

@@ -284,8 +284,9 @@ class TestSweep:
             {**SMALL_CONFIG, "seeds": [[1]]},
             {**SMALL_CONFIG, "seeds": [None]},
             {**SMALL_CONFIG, "methods": [{"name": "lra", "gammas": 0.2}]},
+            {**SMALL_CONFIG, "methods": [{"name": "lra", "gammas": [0.2], "matching": "exakt"}]},
         ],
-        ids=["not-object", "pair-string", "method-string", "seeds-int", "seed-list", "seed-null", "gammas-float"],
+        ids=["not-object", "pair-string", "method-string", "seeds-int", "seed-list", "seed-null", "gammas-float", "matching-typo"],
     )
     def test_wrong_typed_config_usage_error(self, tmp_path, capsys, config):
         cfg = tmp_path / "cfg.json"
@@ -293,6 +294,14 @@ class TestSweep:
         code, _, err = run_main(["sweep", str(cfg)], capsys)
         assert code == 1
         assert "Error:" in err
+
+    def test_misspelt_matching_names_method_and_value(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        config = {**SMALL_CONFIG, "methods": [{"name": "lra", "gammas": [0.2], "matching": "exakt"}]}
+        cfg.write_text(json.dumps(config))
+        code, _, err = run_main(["sweep", str(cfg)], capsys)
+        assert code == 1
+        assert "'lra'" in err and "'exakt'" in err
 
     @pytest.mark.parametrize("cpus, want", [(64, [3]), (2, [2]), (None, [])])
     def test_worker_count_clamped(self, monkeypatch, cpus, want):

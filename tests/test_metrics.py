@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specalign.graph import Graph, Permutation
@@ -17,6 +17,15 @@ from specalign.score import ScoreScheme
 
 TRIANGLE = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
 IDENTITY3 = tuple((i, i) for i in range(3))
+
+
+def random_graph(n, p, seed, directed):
+    """G(n, p), with each ordered pair drawn on its own when directed."""
+    if not directed:
+        return erdos_renyi(n, p, seed)
+    adj = (np.random.default_rng(seed).random((n, n)) < p).astype(np.int8)
+    np.fill_diagonal(adj, 0)
+    return Graph(adj, directed=True)
 
 
 class TestCountAlignment:
@@ -75,6 +84,32 @@ class TestCountAlignment:
         mapping = tuple((i, int(cols[i])) for i in range(m))
         matches, mismatches, neutrals = count_alignment(g1, g2, mapping)
         assert matches + mismatches + neutrals == m * (m - 1) // 2
+
+    @given(seed=st.integers(0, 2**32), directed=st.booleans(), m=st.integers(0, 7))
+    # m = 0 and m = 1 leave no off-diagonal pair; seed 0 gives n1 > n2, seed 5 n1 < n2
+    @example(seed=0, directed=False, m=0)
+    @example(seed=0, directed=True, m=1)
+    @example(seed=5, directed=False, m=1)
+    @example(seed=5, directed=True, m=0)
+    def test_counts_match_loop_over_node_pairs(self, seed, directed, m):
+        rng = np.random.default_rng(seed)
+        (n1, n2), (p1, p2) = rng.integers(1, 8, size=2).tolist(), rng.random(2)
+        m = min(m, n1, n2)
+        g1 = random_graph(n1, p1, seed, directed)
+        g2 = random_graph(n2, p2, seed + 1, directed)
+        mapping = tuple(zip(rng.permutation(n1)[:m].tolist(), rng.permutation(n2)[:m].tolist()))
+        ordered = [0, 0, 0]  # matches, mismatches, neutrals
+        unordered = [0, 0, 0]
+        for a, (i, j) in enumerate(mapping):
+            for b, (r, t) in enumerate(mapping):
+                if a == b:
+                    continue
+                e1, e2 = g1.adjacency[i, r], g2.adjacency[j, t]
+                kind = 0 if e1 and e2 else 1 if e1 or e2 else 2
+                ordered[kind] += 1
+                unordered[kind] += a < b
+        assert count_alignment_ordered(g1, g2, mapping) == tuple(ordered)
+        assert count_alignment(g1, g2, mapping) == tuple(ordered if directed else unordered)
 
 
 class TestGeneralizedObjective:

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from specalign.graph import Graph
 from specalign.randgen import erdos_renyi
@@ -15,6 +17,28 @@ from specalign.score import (
     directed_alignment_entry,
     from_alpha,
 )
+
+
+# the ea schemes of the fig3 presets, whose linear-form entries sit a few ulps off
+# the raw scores, and random non-integer schemes
+SCHEMES = st.one_of(
+    st.sampled_from([from_alpha((1 - g) / g, 0.001) for g in (0.1, 0.2, 0.3, 0.4, 0.499)]),
+    st.builds(
+        lambda s3, gap2, gap1: ScoreScheme(s3 + gap2 + gap1, s3 + gap2, s3),
+        st.floats(0.001, 1),
+        st.floats(0.001, 2),
+        st.floats(0.001, 5),
+    ),
+)
+
+
+def random_graph(n, p, seed, directed):
+    """G(n, p), with each ordered pair drawn on its own when directed."""
+    if not directed:
+        return erdos_renyi(n, p, seed)
+    adj = (np.random.default_rng(seed).random((n, n)) < p).astype(np.int8)
+    np.fill_diagonal(adj, 0)
+    return Graph(adj, directed=True)
 
 
 class TestScoreScheme:
@@ -150,6 +174,25 @@ class TestBuildAlignmentMatrix:
         idx = [full.index[p] for p in sub.pairs]
         assert np.array_equal(a_sub, a_full[np.ix_(idx, idx)])
 
+    @given(seed=st.integers(0, 2**32), directed=st.booleans(), restrict=st.booleans(), s=SCHEMES)
+    def test_every_entry_is_the_scalar_rule_bit_for_bit(self, seed, directed, restrict, s):
+        # sizes, densities and the subset come from the seed, so each example is a fresh instance
+        rng = np.random.default_rng(seed)
+        (n1, n2), (p1, p2) = rng.integers(1, 7, size=2).tolist(), rng.random(2)
+        g1 = random_graph(n1, p1, seed, directed)
+        g2 = random_graph(n2, p2, seed + 1, directed)
+        pairs = MappingSet.full(n1, n2).pairs
+        if restrict:
+            pairs = tuple(pairs[k] for k in rng.permutation(len(pairs))[: rng.integers(len(pairs) + 1)])
+        a = build_alignment_matrix(g1, g2, s, MappingSet(n1, n2, pairs=pairs))
+        adj1, adj2 = g1.adjacency.tolist(), g2.adjacency.tolist()
+        for (p, (i, jp)), (q, (r, sp)) in itertools.product(enumerate(pairs), repeat=2):
+            if directed:
+                want = directed_alignment_entry(s, adj1[i][r], adj1[r][i], adj2[jp][sp], adj2[sp][jp])
+            else:
+                want = alignment_entry(s, adj1[i][r], adj2[jp][sp])
+            assert a[p, q] == want
+
 
 def full_colmajor_order(n1, n2, mapping_set):
     return [mapping_set.index[(i, j)] for j in range(n2) for i in range(n1)]
@@ -187,6 +230,18 @@ class TestAlignmentMatvec:
             y = np.zeros(12)
             y[t] = 1.0
             assert np.allclose(alignment_matvec(g1, g2, s, y), a_cm[:, t], atol=1e-12)
+
+    @given(seed=st.integers(0, 2**32), s=SCHEMES)
+    def test_rectangular_matches_dense_product(self, seed, s):
+        rng = np.random.default_rng(seed)
+        n1, n2 = rng.choice(np.arange(1, 8), size=2, replace=False).tolist()
+        g1 = random_graph(n1, rng.random(), seed, directed=False)
+        g2 = random_graph(n2, rng.random(), seed + 1, directed=False)
+        full = MappingSet.full(n1, n2)
+        order = full_colmajor_order(n1, n2, full)
+        a_cm = build_alignment_matrix(g1, g2, s, full)[np.ix_(order, order)]
+        y = rng.standard_normal(n1 * n2)
+        assert np.abs(a_cm @ y - alignment_matvec(g1, g2, s, y)).max() < 1e-10
 
     def test_dimension_mismatch(self):
         g = erdos_renyi(3, 0.5, 0)
