@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .align import brute_force_qap, eigen_align, low_rank_align
+from .align import SIGN_ENUM_MAX_RANK, brute_force_qap, eigen_align, low_rank_align
 from .graph import Graph, Permutation, apply_permutation
 from .metrics import node_accuracy
 from .randgen import (
@@ -224,8 +224,27 @@ def validate_config(config: dict) -> None:
                 raise ConfigError("ea gammas must be positive (gamma maps to alpha)")
         if method.get("matching", "exact") not in ("exact", "greedy"):
             raise ConfigError(f"method {method.get('name')!r} matching {method['matching']!r} is not 'exact' or 'greedy'")
+        _check_method_fields(method)
         if method.get("restrict_k") is not None and config["pair"].get("family") == "er_sbm":
             raise ConfigError("restricted mapping sets require a pair with ground truth")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_method_fields(method: dict) -> None:
+    """Reject a ``rank``, ``eps`` or ``restrict_k`` that every cell would fail on."""
+    name = method["name"]
+    rank = method.get("rank")
+    if rank is not None and not (_is_int(rank) and 1 <= rank <= SIGN_ENUM_MAX_RANK):
+        raise ConfigError(f"method {name!r} rank {rank!r} is not an integer in [1, {SIGN_ENUM_MAX_RANK}]")
+    eps = method.get("eps")
+    if eps is not None and not ((_is_int(eps) or isinstance(eps, float)) and eps > 0):
+        raise ConfigError(f"method {name!r} eps {eps!r} is not a positive number")
+    restrict_k = method.get("restrict_k")
+    if restrict_k is not None and not (_is_int(restrict_k) and restrict_k > 0):
+        raise ConfigError(f"method {name!r} restrict_k {restrict_k!r} is not a positive integer")
 
 
 def run_sweep(config: dict, jobs: int = 1, seeds_override: list[int] | None = None) -> list[dict]:

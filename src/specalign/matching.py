@@ -9,23 +9,30 @@ rows after i and the columns still free, so it runs only where a tie can
 reach. Every near-optimal assignment differs from the solved one by
 exchange cycles (Klein's cycle-cancelling condition), so the exchange
 graph on the smaller side, with a pool node for the columns nobody takes,
-gives each pair its cheapest cycle by Floyd-Warshall. A pair whose cycle
+gives each pair its cheapest cycle. That search is pruned by reduced
+costs (Johnson's reweighting): Bellman-Ford potentials make every edge
+cost non-negative up to a sliver, an edge whose reduced cost exceeds twice
+the tie tolerance lies on no cycle cheap enough to matter, nodes left
+without such tight edges in and out are trimmed, and Floyd-Warshall runs
+on the tight edges of the few nodes that remain. A pair whose cycle
 loses more than the tie tolerance is *pinned*: it is in every optimum
 within the tolerance. Only the other, *flexible* pairs' rows are
 normalized, against the columns no pinned pair takes; a unique optimum
 costs one solve. When any cycle loss lies within 0.1% of the tolerance,
-where summation order could decide it, the whole problem is normalized
-instead (the fallback). The first solve also detects a mask with no full
-matching; only then is a Hall-violation witness built, from a
-Hopcroft-Karp maximum matching
+where summation order could decide it, or the potentials do not settle,
+the whole problem is normalized instead (the fallback). The first solve
+also detects a mask with no full matching; only then is a Hall-violation
+witness built, from a Hopcroft-Karp maximum matching
 (``scipy.sparse.csgraph.maximum_bipartite_matching``). The greedy variant
 implements the classic heaviest-cell sweep with a 1/2-approximation
-guarantee for non-negative weights, over one stable sort of the allowed
-cells.
+guarantee for non-negative weights; a heap of each row's best free
+column, over one stable sort per row, visits the cells in the same order
+as one stable sort of all the allowed cells.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,9 +163,9 @@ def hungarian_max_weight(w: np.ndarray, allowed: np.ndarray | None = None) -> As
     # The exchange graph lives on the smaller side; a tall matrix is
     # handled as its transpose, with the columns as the pairs' owners.
     owners, taken = solved[::-1] if transposed else solved
-    loss = _cycle_losses(cost.T if transposed else cost, owners, taken)
-    if np.any(np.abs(loss - tol) <= _FALLBACK_BAND * tol):
-        pinned = np.zeros(loss.shape, dtype=bool)
+    loss = _cycle_losses(cost.T if transposed else cost, owners, taken, tol)
+    if loss is None or np.any(np.abs(loss - tol) <= _FALLBACK_BAND * tol):
+        pinned = np.zeros(len(owners), dtype=bool)
     else:
         pinned = loss > tol
     pinned_rows, pinned_cols = solved[0][pinned], solved[1][pinned]
@@ -171,7 +178,7 @@ def hungarian_max_weight(w: np.ndarray, allowed: np.ndarray | None = None) -> As
     return Assignment(pairs=tuple(pairs), total_weight=float(w[tuple(zip(*pairs))].sum()) if pairs else 0.0)
 
 
-def _cycle_losses(cost: np.ndarray, owners: np.ndarray, taken: np.ndarray) -> np.ndarray:
+def _cycle_losses(cost: np.ndarray, owners: np.ndarray, taken: np.ndarray, tol: float) -> np.ndarray | None:
     """Weight lost by the cheapest exchange cycle through each pair of an optimum.
 
     ``cost`` has no more rows than columns and (``owners[p]``, ``taken[p]``)
@@ -183,8 +190,23 @@ def _cycle_losses(cost: np.ndarray, owners: np.ndarray, taken: np.ndarray) -> np
     the optimum by exchange cycles, each passing the pool at most once and
     none gaining weight, so an assignment within a tolerance of the optimum
     keeps every pair whose cheapest cycle loses more than that tolerance.
-    Floyd-Warshall makes a fixed number of passes, so float-noise cycles of
-    slightly negative weight cannot keep it from terminating.
+
+    Only losses near ``tol`` decide anything, so the search is pruned by
+    reduced costs (Johnson's reweighting). Dense Bellman-Ford passes from
+    zero give potentials ``d`` under which every reduced cost
+    ``graph[p, q] + d[p] - d[q]`` is at least ``-eta``, with
+    ``eta = tol / (4 * nodes)``. A cycle weighs the sum of its reduced
+    costs, so one through an edge of reduced cost above ``2 * tol`` loses
+    more than ``1.75 * tol`` and cannot unpin a pair. Nodes without a
+    tight in-edge or out-edge among the live nodes lie on no cheap cycle
+    and are trimmed; Floyd-Warshall runs on the survivors' tight edges,
+    and every other pair's loss reads +inf. The Bellman-Ford passes stop
+    once no potential drops by more than ``eta``, and Floyd-Warshall makes
+    a fixed number of passes, so float-noise cycles of slightly negative
+    weight cannot keep either from terminating. Passes that have not
+    settled after ``nodes + 1`` mean a cycle well below zero, which leaves
+    no safe pinning: None is returned, and the caller normalises the whole
+    problem.
     """
     held = cost[owners, taken]
     graph = cost[np.ix_(owners, taken)] - held[:, None]
@@ -194,11 +216,32 @@ def _cycle_losses(cost: np.ndarray, owners: np.ndarray, taken: np.ndarray) -> np
         pool = cost[np.ix_(owners, np.flatnonzero(free))].min(axis=1) - held
         graph = np.vstack([np.column_stack([graph, pool]), np.zeros(len(held) + 1)])
     np.fill_diagonal(graph, np.inf)
-    via = np.empty_like(graph)
-    for k in range(len(graph)):
-        np.add(graph[:, k, None], graph[k], out=via)
-        np.minimum(graph, via, out=graph)
-    return graph.diagonal()[: len(held)]
+    nodes = len(graph)
+    eta = tol / (4 * max(nodes, 1))
+    d = np.zeros(nodes)
+    for _ in range(nodes + 1):
+        relaxed = np.minimum(d, (d[:, None] + graph).min(axis=0, initial=np.inf))
+        if not np.any(d - relaxed > eta):
+            break
+        d = relaxed
+    else:
+        return None
+    tight = graph + d[:, None] - d[None, :] <= 2 * tol
+    live = np.ones(nodes, dtype=bool)
+    while True:
+        survivors = live & (live @ tight) & (tight @ live)
+        if np.array_equal(survivors, live):
+            break
+        live = survivors
+    keep = np.flatnonzero(live)
+    sub = np.where(tight, graph, np.inf)[np.ix_(keep, keep)]
+    via = np.empty_like(sub)
+    for k in range(len(sub)):
+        np.add(sub[:, k, None], sub[k], out=via)
+        np.minimum(sub, via, out=sub)
+    loss = np.full(nodes, np.inf)
+    loss[keep] = sub.diagonal()
+    return loss[: len(held)]
 
 
 def _normalise(
@@ -254,20 +297,35 @@ def greedy_matching(w: np.ndarray, allowed: np.ndarray | None = None) -> Assignm
 
     For non-negative weights the result is at least half the optimum. Under
     restrictive masks the matching may cover fewer than min(n1, n2) rows.
+
+    Each row's allowed cells are sorted once, and a heap holds one
+    ``(-w, i, j')`` entry per unmatched row: its best column not yet seen
+    taken. Columns are only ever taken, so a popped entry whose column is
+    free is the heaviest free cell, in the (-w, i, j') order of one stable
+    sort of all the cells; one whose column was taken advances to its row's
+    next free column and goes back on the heap.
     """
     w, allowed = _as_weight_mask(w, allowed)
-    rows, cols = np.nonzero(allowed)
-    # A stable sort of the row-major cells orders them by (-w, i, j').
-    order = np.argsort(-w[rows, cols], kind="stable")
-    used_rows: set[int] = set()
-    used_cols: set[int] = set()
+    n1, n2 = w.shape
+    key = np.where(allowed, -w, np.inf)
+    order = np.argsort(key, axis=1, kind="stable")
+    ends = allowed.sum(axis=1).tolist()
+    at = [0] * n1
+    heap = [(float(key[i, order[i, 0]]), i, int(order[i, 0])) for i in range(n1) if ends[i]]
+    heapq.heapify(heap)
+    col_free = np.ones(n2, dtype=bool)
     pairs: list[tuple[int, int]] = []
     total = 0.0
-    for i, j in zip(rows[order].tolist(), cols[order].tolist()):
-        if i in used_rows or j in used_cols:
+    while heap and len(pairs) < min(n1, n2):
+        _, i, j = heapq.heappop(heap)
+        if col_free[j]:
+            col_free[j] = False
+            pairs.append((i, j))
+            total += float(w[i, j])
             continue
-        used_rows.add(i)
-        used_cols.add(j)
-        pairs.append((i, j))
-        total += float(w[i, j])
+        ahead = np.flatnonzero(col_free[order[i, at[i] + 1 : ends[i]]])
+        if ahead.size:
+            at[i] += 1 + int(ahead[0])
+            j = int(order[i, at[i]])
+            heapq.heappush(heap, (float(key[i, j]), i, j))
     return Assignment(pairs=tuple(pairs), total_weight=total)

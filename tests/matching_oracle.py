@@ -6,7 +6,12 @@ solve per candidate (i, j'), so it is slow but simple, and the property
 tests in ``test_matching.py`` require the fast matcher to return the same
 ``pairs`` and ``total_weight`` bit for bit. It calls scipy's
 ``linear_sum_assignment`` directly, so tests that count the LAP calls of
-``specalign.matching`` never see it. Do not edit the copied functions.
+``specalign.matching`` never see it.
+
+``_cycle_losses`` below is the exchange-graph cycle search as it was
+before the reduced-cost pruning: a dense Floyd-Warshall over every pair.
+``test_matching.py`` requires the pruned search to pin the same pairs.
+Do not edit the copied functions.
 """
 
 from __future__ import annotations
@@ -92,3 +97,33 @@ def _best_completion(cost: np.ndarray, need: int) -> float | None:
     if solved is None:
         return None
     return -float(cost[solved].sum())
+
+
+def _cycle_losses(cost: np.ndarray, owners: np.ndarray, taken: np.ndarray) -> np.ndarray:
+    """Weight lost by the cheapest exchange cycle through each pair of an optimum.
+
+    ``cost`` has no more rows than columns and (``owners[p]``, ``taken[p]``)
+    is a min-cost full assignment of its rows. Node p of the exchange graph
+    is that pair; edge p -> q is row ``owners[p]`` taking column
+    ``taken[q]`` instead of its own, and a pool node stands for the columns
+    no row takes: p -> pool takes row p's best such column, and pool -> q
+    releases ``taken[q]`` at no cost. Any other assignment differs from
+    the optimum by exchange cycles, each passing the pool at most once and
+    none gaining weight, so an assignment within a tolerance of the optimum
+    keeps every pair whose cheapest cycle loses more than that tolerance.
+    Floyd-Warshall makes a fixed number of passes, so float-noise cycles of
+    slightly negative weight cannot keep it from terminating.
+    """
+    held = cost[owners, taken]
+    graph = cost[np.ix_(owners, taken)] - held[:, None]
+    free = np.ones(cost.shape[1], dtype=bool)
+    free[taken] = False
+    if free.any():
+        pool = cost[np.ix_(owners, np.flatnonzero(free))].min(axis=1) - held
+        graph = np.vstack([np.column_stack([graph, pool]), np.zeros(len(held) + 1)])
+    np.fill_diagonal(graph, np.inf)
+    via = np.empty_like(graph)
+    for k in range(len(graph)):
+        np.add(graph[:, k, None], graph[k], out=via)
+        np.minimum(graph, via, out=graph)
+    return graph.diagonal()[: len(held)]

@@ -285,8 +285,25 @@ class TestSweep:
             {**SMALL_CONFIG, "seeds": [None]},
             {**SMALL_CONFIG, "methods": [{"name": "lra", "gammas": 0.2}]},
             {**SMALL_CONFIG, "methods": [{"name": "lra", "gammas": [0.2], "matching": "exakt"}]},
+            {**SMALL_CONFIG, "methods": [{"name": "lra", "gammas": [0.2], "rank": "three"}]},
+            {**SMALL_CONFIG, "methods": [{"name": "lra", "gammas": [0.2], "rank": 0}]},
+            {**SMALL_CONFIG, "methods": [{"name": "ea", "gammas": [0.2], "eps": -1}]},
+            {**SMALL_CONFIG, "methods": [{"name": "ea", "gammas": [0.2], "restrict_k": 0}]},
         ],
-        ids=["not-object", "pair-string", "method-string", "seeds-int", "seed-list", "seed-null", "gammas-float", "matching-typo"],
+        ids=[
+            "not-object",
+            "pair-string",
+            "method-string",
+            "seeds-int",
+            "seed-list",
+            "seed-null",
+            "gammas-float",
+            "matching-typo",
+            "rank-string",
+            "rank-zero",
+            "eps-negative",
+            "restrict-k-zero",
+        ],
     )
     def test_wrong_typed_config_usage_error(self, tmp_path, capsys, config):
         cfg = tmp_path / "cfg.json"
@@ -302,6 +319,22 @@ class TestSweep:
         code, _, err = run_main(["sweep", str(cfg)], capsys)
         assert code == 1
         assert "'lra'" in err and "'exakt'" in err
+
+    @pytest.mark.parametrize(
+        "method, value",
+        [
+            ({"name": "lra", "gammas": [0.2], "rank": True}, "True"),
+            ({"name": "lra", "gammas": [0.2], "rank": 13}, "13"),
+            ({"name": "ea", "gammas": [0.2], "eps": "0.001"}, "'0.001'"),
+            ({"name": "ea", "gammas": [0.2], "restrict_k": 2.5}, "2.5"),
+        ],
+    )
+    def test_bad_method_field_names_method_and_value(self, tmp_path, capsys, method, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**SMALL_CONFIG, "methods": [method]}))
+        code, _, err = run_main(["sweep", str(cfg)], capsys)
+        assert code == 1
+        assert repr(method["name"]) in err and value in err
 
     @pytest.mark.parametrize("cpus, want", [(64, [3]), (2, [2]), (None, [])])
     def test_worker_count_clamped(self, monkeypatch, cpus, want):

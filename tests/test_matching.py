@@ -7,10 +7,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import specalign.matching
+from matching_oracle import _cycle_losses as dense_cycle_losses
 from matching_oracle import hungarian_max_weight as oracle_max_weight
+from scipy.optimize import linear_sum_assignment
 from specalign.matching import (
+    _FALLBACK_BAND,
+    _TIE_TOL,
     Assignment,
     InfeasibleMatchingError,
+    _cycle_losses,
     greedy_matching,
     hungarian_max_weight,
 )
@@ -107,6 +112,83 @@ def tied_instances(draw, orientation):
         rows, cols = (cols, range(small)) if orientation == "tall" else (range(small), cols)
         allowed[list(rows), list(cols)] = True
     return w, allowed
+
+
+@st.composite
+def exchange_graphs(draw, orientation):
+    """A min-cost assignment of a tied, sparsely masked cost matrix, as ``_cycle_losses`` takes it.
+
+    Returns ``(cost, owners, taken, tol)`` on the smaller side, the way
+    ``hungarian_max_weight`` calls it. Weights are integers 0-3 or one
+    decimal; some rows and columns copy others; the mask keeps one planted
+    full matching of the smaller side (up to 30 pairs) and a sparse,
+    drawn share of the other cells. The matrix comes from a drawn seed,
+    since Hypothesis-drawn 30x33 arrays would be slow to generate.
+    """
+    small = draw(st.integers(1, 30))
+    big = small + draw(st.integers(0, 3))
+    shape = (big, small) if orientation == "tall" else (small, big)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        w = rng.integers(0, 4, shape).astype(float)
+    else:
+        w = rng.integers(0, 11, shape) / 10
+    for axis in (0, 1):
+        for _ in range(draw(st.integers(0, 3))):
+            src, dst = rng.integers(0, shape[axis], size=2)
+            np.moveaxis(w, axis, 0)[dst] = np.moveaxis(w, axis, 0)[src]
+    allowed = rng.random(shape) < draw(st.sampled_from([0.05, 0.15, 0.4, 1.0]))
+    planted = rng.permutation(big)[:small]
+    rows, cols = (planted, np.arange(small)) if orientation == "tall" else (np.arange(small), planted)
+    allowed[rows, cols] = True
+    cost = np.where(allowed, -w, np.inf)
+    solved = linear_sum_assignment(cost)
+    tol = _TIE_TOL * max(1.0, abs(float(w[solved].sum())))
+    if orientation == "tall":
+        return cost.T, solved[1], solved[0], tol
+    return cost, solved[0], solved[1], tol
+
+
+def pins(loss, tol):
+    """The matcher's rule: the pinned pairs, or None where it normalises the whole problem."""
+    if loss is None or np.any(np.abs(loss - tol) <= _FALLBACK_BAND * tol):
+        return None
+    return loss > tol
+
+
+class TestCycleLosses:
+    """The pruned cycle search against the verbatim dense Floyd-Warshall."""
+
+    @pytest.mark.parametrize("orientation", ["wide", "tall"])
+    @given(data=st.data())
+    @settings(max_examples=150)
+    def test_pins_what_dense_floyd_warshall_pins(self, orientation, data):
+        cost, owners, taken, tol = data.draw(exchange_graphs(orientation))
+        got = _cycle_losses(cost, owners, taken, tol)
+        assert got is not None  # an optimum has no cycle below float noise
+        want = pins(dense_cycle_losses(cost, owners, taken), tol)
+        if want is not None and pins(got, tol) is not None:
+            assert pins(got, tol).tolist() == want.tolist()
+
+    def test_negative_cycle_does_not_settle(self):
+        # both rows would gain by swapping columns: not an optimum
+        cost = -np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        assert _cycle_losses(cost, np.array([0, 1]), np.array([1, 0]), _TIE_TOL) is None
+
+    def test_non_optimal_first_solve_normalises_every_row(self, monkeypatch):
+        w = np.eye(3)
+        solve = specalign.matching._solve_lap
+        calls = []
+
+        def swapped_first(cost):
+            calls.append(cost.shape)
+            return (np.arange(3), np.array([1, 0, 2])) if len(calls) == 1 else solve(cost)
+
+        monkeypatch.setattr(specalign.matching, "_solve_lap", swapped_first)
+        seen = normalised_rows(monkeypatch)
+        a = hungarian_max_weight(w)
+        assert seen == [[0, 1, 2]]
+        assert a.pairs == ((0, 0), (1, 1), (2, 2))
 
 
 class TestHungarian:
@@ -281,6 +363,25 @@ class TestTieBreakAgainstOracle:
         want = oracle_max_weight(w)
         assert (got.pairs, got.total_weight) == (want.pairs, want.total_weight)
 
+    @pytest.mark.parametrize("seed, shape", [(0, (40, 40)), (0, (50, 55)), (1, (60, 45))])
+    def test_sparse_chain_matches_oracle(self, seed, shape):
+        # A planted chain of near-equal cells (i, i) and (i, i+1) over a
+        # sparse mask: the exchange graph has long shortest paths, so the
+        # reduced-cost potentials take 29-46 Bellman-Ford passes here.
+        rng = np.random.default_rng(seed)
+        small = min(shape)
+        i = np.arange(small)
+        allowed = rng.random(shape) < 0.04
+        allowed[i, i] = True
+        allowed[i[:-1], i[1:]] = True
+        w = np.where(allowed, rng.integers(0, 6, shape) / 10, 0.0)
+        w[i, i] = 1.0
+        w[i[:-1], i[1:]] = 1.0 + rng.integers(-1, 2, small - 1) / 10
+        want = oracle_max_weight(w, allowed)
+        got = hungarian_max_weight(w, allowed)
+        assert got.pairs == want.pairs
+        assert got.total_weight == want.total_weight
+
     def test_unique_optimum_needs_one_lap(self, monkeypatch):
         rng = np.random.default_rng(0)
         w = rng.random((30, 30)) + 30.0 * np.eye(30)
@@ -327,10 +428,35 @@ class TestGreedy:
         assert a.pairs == ((0, 0), (1, 1))
 
     @given(st.data())
+    @settings(max_examples=150)
     def test_matches_key_sort_reference(self, data):
-        shape = data.draw(shapes(8))
-        w = data.draw(arrays(np.int64, shape, elements=st.integers(0, 3))).astype(float)
+        # integer 0-3, one-decimal and negative one-decimal weights tie
+        # often; masks may leave whole rows and columns empty
+        shape = data.draw(shapes(12))
+        elements = data.draw(
+            st.sampled_from(
+                [
+                    st.integers(0, 3).map(float),
+                    st.integers(0, 10).map(lambda k: k / 10),
+                    st.integers(-30, 30).map(lambda k: k / 10),
+                ]
+            )
+        )
+        w = data.draw(arrays(np.float64, shape, elements=elements, fill=st.nothing()))
         allowed = data.draw(st.none() | arrays(np.bool_, shape))
+        if allowed is not None:
+            allowed[data.draw(st.lists(st.integers(0, shape[0] - 1), max_size=2))] = False
+            allowed[:, data.draw(st.lists(st.integers(0, shape[1] - 1), max_size=2))] = False
+        a = greedy_matching(w, allowed)
+        pairs, total = reference_greedy(w, allowed)
+        assert a.pairs == pairs
+        assert a.total_weight == total
+
+    @pytest.mark.parametrize("shape, density", [((150, 150), None), ((200, 120), 0.1), ((120, 200), 0.1)])
+    def test_matches_reference_at_size(self, shape, density):
+        rng = np.random.default_rng(7)
+        w = np.round(rng.standard_normal(shape), 1)
+        allowed = None if density is None else rng.random(shape) < density
         a = greedy_matching(w, allowed)
         pairs, total = reference_greedy(w, allowed)
         assert a.pairs == pairs
