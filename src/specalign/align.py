@@ -176,6 +176,23 @@ def low_rank_align(
     maximum-weight matching is a candidate mapping; candidates are scored
     by the trace objective on the padded pair and the best one is returned
     with padded rows dropped.
+
+    Exact rounding of an unequal-size pair matches only the real rows (or
+    columns). The padded nodes are isolated, so their affinity rows (G1
+    padded) or columns (G2 padded) all equal one line r, and a full
+    matching weighs the sum of r plus its real pairs' weights minus r. It
+    is optimal exactly when its real pairs are optimal on ``affinity - r``
+    without the padded lines, so that reduced problem is solved and the
+    padded rows (or the rows it leaves unmatched) take the leftover
+    columns in ascending order. This is the same lexicographically
+    smallest optimum as matching the padded matrix, where the padded rows
+    tie on every column and keep the tie-break from pinning them. The
+    shortcut is guarded: it is taken only when every padded line equals r
+    to within ``1e-12 * |affinity|.max()``. The padded nodes' difference
+    vectors are eigenvectors of the shifted matrices with eigenvalue
+    delta; when delta reaches the top ``rank_k``, ``eigh`` returns an
+    arbitrary basis of its eigenspace, the padded lines really differ,
+    and the padded matrix is matched as it is.
     """
     if matching not in ("exact", "greedy"):
         raise ValueError(f"matching must be 'exact' or 'greedy', got {matching!r}")
@@ -201,7 +218,7 @@ def low_rank_align(
     for signs in itertools.product((1.0, -1.0), repeat=rank_k):
         affinity = (dec1.eigenvectors * (np.asarray(signs) * scale)) @ dec2.eigenvectors.T
         if matching == "exact":
-            candidate = hungarian_max_weight(affinity)
+            candidate = _exact_rounding(affinity, g1.n, g2.n)
         else:
             candidate = greedy_matching(affinity)
         value = generalized_objective(p1, p2, candidate, gamma)
@@ -212,6 +229,23 @@ def low_rank_align(
     kept = tuple((i, j) for i, j in winner.pairs if i < g1.n and j < g2.n)
     trimmed = Assignment(pairs=kept, total_weight=float(sum(affinity[i, j] for i, j in kept)))
     return _finish(g1, g2, trimmed, gamma, "lra", rank_k, None)
+
+
+def _exact_rounding(affinity: np.ndarray, n1: int, n2: int) -> Assignment:
+    """Exact full matching of the padded affinity of an n1-by-n2 pair (see :func:`low_rank_align`)."""
+    if n1 == n2:
+        return hungarian_max_weight(affinity)
+    padded, line = (affinity[n1:], affinity[n1]) if n1 < n2 else (affinity[:, n2:], affinity[:, n2, None])
+    if np.abs(padded - line).max() > 1e-12 * np.abs(affinity).max():
+        return hungarian_max_weight(affinity)
+    real = hungarian_max_weight(affinity[:n1, :n2] - line)
+    n = len(affinity)
+    rows_left = np.ones(n, dtype=bool)
+    cols_left = np.ones(n, dtype=bool)
+    for i, j in real.pairs:
+        rows_left[i] = cols_left[j] = False
+    pairs = sorted(real.pairs + tuple(zip(np.flatnonzero(rows_left).tolist(), np.flatnonzero(cols_left).tolist())))
+    return Assignment(pairs=tuple(pairs), total_weight=float(affinity[tuple(zip(*pairs))].sum()))
 
 
 def rounding_gap_bound(g1m: np.ndarray, g2m: np.ndarray, eps: float) -> float:

@@ -169,11 +169,13 @@ def hungarian_max_weight(w: np.ndarray, allowed: np.ndarray | None = None) -> As
     else:
         pinned = loss > tol
     pinned_rows, pinned_cols = solved[0][pinned], solved[1][pinned]
-    flexible_rows = np.setdiff1d(np.arange(n1), pinned_rows)
-    flexible_cols = np.setdiff1d(np.arange(n2), pinned_cols)
+    flexible_rows = np.ones(n1, dtype=bool)
+    flexible_rows[pinned_rows] = False
+    flexible_cols = np.ones(n2, dtype=bool)
+    flexible_cols[pinned_cols] = False
     pinned_weight = float(w[pinned_rows, pinned_cols].sum())
     pairs = list(zip(pinned_rows.tolist(), pinned_cols.tolist()))
-    pairs += _normalise(cost, flexible_rows, flexible_cols, optimum - pinned_weight, tol)
+    pairs += _normalise(cost, np.flatnonzero(flexible_rows), np.flatnonzero(flexible_cols), optimum - pinned_weight, tol)
     pairs.sort()
     return Assignment(pairs=tuple(pairs), total_weight=float(w[tuple(zip(*pairs))].sum()) if pairs else 0.0)
 

@@ -27,6 +27,8 @@ __all__ = [
 POWER_LAW_SEED_DENSITY = 0.5
 
 _REGULAR_MAX_ATTEMPTS = 20_000
+# Pairing-model attempts drawn and checked at once by random_regular.
+_REGULAR_BLOCK = 64
 
 
 def _symmetric_bernoulli(n: int, prob: np.ndarray | float, rng: np.random.Generator) -> np.ndarray:
@@ -67,6 +69,14 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
 
     Pairings producing self-loops or multi-edges are rejected wholesale and
     redrawn, which yields exact degrees and a simple graph.
+
+    Attempts are drawn ``_REGULAR_BLOCK`` at a time: the rows of
+    ``rng.permuted(np.tile(stubs, (block, 1)), axis=1)`` are the
+    permutations that as many successive ``rng.permutation(stubs)`` calls
+    would draw, and the first row that passes both checks is accepted, so
+    the graph is the one a draw-and-check loop accepts. The generator is
+    local, so the rows drawn past the accepted one are never seen. The last
+    block is cut at ``_REGULAR_MAX_ATTEMPTS``.
     """
     if d < 0 or d >= n:
         raise ValueError(f"degree must satisfy 0 <= d < n, got d={d}, n={n}")
@@ -76,18 +86,18 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
         return Graph.empty(n)
     rng = np.random.default_rng(seed)
     stubs = np.repeat(np.arange(n), d)
-    for _ in range(_REGULAR_MAX_ATTEMPTS):
-        perm = rng.permutation(stubs)
-        u, v = perm[0::2], perm[1::2]
-        if (u == v).any():
-            continue
-        adj = np.zeros((n, n), dtype=np.int8)
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
-        keys = lo * n + hi
-        if len(np.unique(keys)) != len(keys):
-            continue
-        adj[lo, hi] = 1
-        return Graph(adj + adj.T)
+    for start in range(0, _REGULAR_MAX_ATTEMPTS, _REGULAR_BLOCK):
+        block = min(_REGULAR_BLOCK, _REGULAR_MAX_ATTEMPTS - start)
+        perms = rng.permuted(np.tile(stubs, (block, 1)), axis=1)
+        u, v = perms[:, 0::2], perms[:, 1::2]
+        loopless = np.flatnonzero((u != v).all(axis=1))
+        lo, hi = np.minimum(u[loopless], v[loopless]), np.maximum(u[loopless], v[loopless])
+        keys = np.sort(lo * n + hi, axis=1)
+        simple = np.flatnonzero((keys[:, 1:] != keys[:, :-1]).all(axis=1))
+        if simple.size:
+            adj = np.zeros((n, n), dtype=np.int8)
+            adj[lo[simple[0]], hi[simple[0]]] = 1
+            return Graph(adj + adj.T)
     raise RuntimeError(f"pairing model failed to produce a simple {d}-regular graph after {_REGULAR_MAX_ATTEMPTS} attempts")
 
 

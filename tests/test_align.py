@@ -1,10 +1,12 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import specalign.align as align_module
 from specalign.align import (
     brute_force_qap,
     eigen_align,
@@ -13,8 +15,8 @@ from specalign.align import (
     orthogonal_relaxation,
     rounding_gap_bound,
 )
-from specalign.graph import Graph
-from specalign.matching import greedy_matching
+from specalign.graph import Graph, pad_to
+from specalign.matching import Assignment, greedy_matching, hungarian_max_weight
 from specalign.metrics import count_alignment_ordered, expected_alignment_matrix, generalized_objective
 from specalign.randgen import erdos_renyi, noise_model_II, random_permutation, sample_mapping_set
 from specalign.score import MappingSet, ScoreScheme, from_alpha
@@ -22,6 +24,7 @@ from specalign.spectral import psd_shift, top_k_eigs
 
 PATH3 = Graph.from_edges(3, [(0, 1), (1, 2)])
 C4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+FIG3_GAMMAS = [0.0, 0.1, 0.2, 0.3, 0.4, 0.499]
 
 
 def permutation_matrices(n):
@@ -255,6 +258,64 @@ class TestLowRankAlign:
             w = (d1.eigenvectors * (d1.eigenvalues * d2.eigenvalues)) @ d2.eigenvectors.T
             base = generalized_objective(g1, g2, greedy_matching(w), gamma)
             assert lra.objective >= base - 1e-12
+
+
+def padded_exact_lra(g1, g2, gamma, rank_k):
+    """Exact ``low_rank_align`` that matches every sign candidate on the full
+    padded affinity. Returns the kept pairs, their weight and the objective."""
+    n = max(g1.n, g2.n)
+    p1, p2 = pad_to(g1, n), pad_to(g2, n)
+    m1, _ = psd_shift(p1.as_float() - gamma)
+    m2, _ = psd_shift(p2.as_float() - gamma)
+    dec1, dec2 = top_k_eigs(m1, rank_k), top_k_eigs(m2, rank_k)
+    scale = dec1.eigenvalues * dec2.eigenvalues
+    best = None
+    for signs in itertools.product((1.0, -1.0), repeat=rank_k):
+        affinity = (dec1.eigenvectors * (np.asarray(signs) * scale)) @ dec2.eigenvectors.T
+        candidate = hungarian_max_weight(affinity)
+        value = generalized_objective(p1, p2, candidate, gamma)
+        if best is None or value > best[0]:
+            best = (value, candidate, affinity)
+    _, winner, affinity = best
+    kept = tuple((i, j) for i, j in winner.pairs if i < g1.n and j < g2.n)
+    total = float(sum(affinity[i, j] for i, j in kept))
+    return kept, total, generalized_objective(g1, g2, Assignment(pairs=kept, total_weight=total), gamma)
+
+
+class TestReducedExactRounding:
+    def test_matches_padded_rounding(self, monkeypatch):
+        # wide inputs: G1 padded, tall: G2 padded, square: the guard fell back
+        shapes = Counter()
+
+        def counted(w, allowed=None):
+            shapes["wide" if w.shape[0] < w.shape[1] else "tall" if w.shape[0] > w.shape[1] else "square"] += 1
+            return hungarian_max_weight(w, allowed)
+
+        monkeypatch.setattr(align_module, "hungarian_max_weight", counted)
+
+        @settings(max_examples=300, deadline=None)
+        @given(
+            sizes=st.tuples(st.integers(1, 12), st.integers(1, 12)).filter(lambda s: s[0] != s[1]),
+            densities=st.tuples(st.floats(0, 0.6), st.floats(0, 0.6)),
+            seeds=st.tuples(st.integers(0, 2**31 - 1), st.integers(0, 2**31 - 1)),
+            gamma=st.sampled_from(FIG3_GAMMAS),
+            rank=st.integers(1, 3),
+        )
+        def check(sizes, densities, seeds, gamma, rank):
+            g1, g2 = (erdos_renyi(n, p, seed) for n, p, seed in zip(sizes, densities, seeds))
+            rank = min(rank, max(sizes))
+            reduced = shapes["wide"] + shapes["tall"]
+            result = low_rank_align(g1, g2, gamma, rank_k=rank)
+            # a real isolated node ties with the padded ones but must still be matched
+            if shapes["wide"] + shapes["tall"] > reduced and (min(g1, g2, key=lambda g: g.n).degrees() == 0).any():
+                shapes["reduced with isolated nodes"] += 1
+            pairs, total, objective = padded_exact_lra(g1, g2, gamma, rank)
+            assert result.mapping.pairs == pairs
+            assert result.mapping.total_weight == total
+            assert result.objective == objective
+
+        check()
+        assert shapes["wide"] and shapes["tall"] and shapes["square"] and shapes["reduced with isolated nodes"]
 
 
 class TestRoundingGapBound:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from specalign.graph import Permutation
+import specalign.randgen as randgen
+from specalign.graph import Graph, Permutation
 from specalign.randgen import (
     erdos_renyi,
     noise_model_I,
@@ -12,6 +13,26 @@ from specalign.randgen import (
     sample_mapping_set,
     stochastic_block_model,
 )
+
+
+def sequential_random_regular(n, d, seed, max_attempts):
+    """The draw-and-check loop that blocked draws replace: one ``rng.permutation``
+    per attempt. Returns the graph and its 1-based attempt number, or None."""
+    rng = np.random.default_rng(seed)
+    stubs = np.repeat(np.arange(n), d)
+    for attempt in range(1, max_attempts + 1):
+        perm = rng.permutation(stubs)
+        u, v = perm[0::2], perm[1::2]
+        if (u == v).any():
+            continue
+        adj = np.zeros((n, n), dtype=np.int8)
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        keys = lo * n + hi
+        if len(np.unique(keys)) != len(keys):
+            continue
+        adj[lo, hi] = 1
+        return Graph(adj + adj.T), attempt
+    return None
 
 
 def binomial_bounds(n_trials, p, sigmas=4.0):
@@ -103,6 +124,27 @@ class TestRandomRegular:
             random_regular(5, 3, 0)  # n*d odd
         with pytest.raises(ValueError):
             random_regular(4, 4, 0)  # d >= n
+
+    @pytest.mark.parametrize("n,d", [(4, 2), (6, 3), (10, 3), (10, 4), (12, 5), (20, 1), (30, 4), (50, 5)])
+    def test_blocked_draws_match_sequential_loop(self, n, d):
+        for seed in range(12):
+            graph, _ = sequential_random_regular(n, d, seed, randgen._REGULAR_MAX_ATTEMPTS)
+            assert random_regular(n, d, seed) == graph
+
+    # at n=10, d=4 these seeds are first accepted at attempts 1, 63, 64, 65 and 82
+    @pytest.mark.parametrize("limit", [1, 63, 64, 65])
+    @pytest.mark.parametrize("seed", [37, 60, 154, 81, 0])
+    def test_attempt_limit_cuts_the_last_block(self, monkeypatch, limit, seed):
+        n, d = 10, 4
+        _, attempt = sequential_random_regular(n, d, seed, randgen._REGULAR_MAX_ATTEMPTS)
+        assert attempt == {37: 1, 60: 63, 154: 64, 81: 65, 0: 82}[seed]
+        monkeypatch.setattr(randgen, "_REGULAR_MAX_ATTEMPTS", limit)
+        expected = sequential_random_regular(n, d, seed, limit)
+        if expected is None:
+            with pytest.raises(RuntimeError, match=f"after {limit} attempts"):
+                random_regular(n, d, seed)
+        else:
+            assert random_regular(n, d, seed) == expected[0]
 
 
 class TestPowerLaw:
