@@ -22,6 +22,7 @@ from .experiments import (
     cell_record,
     generate_graph,
     generate_pair,
+    parse_seed,
     run_sweep,
     sweep_rows_to_csv,
 )
@@ -288,11 +289,9 @@ def sweep_cmd(config_path, out, jobs):
         config = json.loads(Path(config_path).read_text())
     except json.JSONDecodeError as exc:
         raise click.UsageError(f"config is not valid JSON: {exc}")
-    seeds_override = None
     env_seed = os.environ.get("SPECALIGN_SEED")
-    if env_seed is not None:
-        seeds_override = [int(env_seed)]
     try:
+        seeds_override = None if env_seed is None else [parse_seed(env_seed, "SPECALIGN_SEED")]
         rows = run_sweep(config, jobs=jobs, seeds_override=seeds_override)
     except ConfigError as exc:
         raise click.UsageError(str(exc))

@@ -37,6 +37,7 @@ __all__ = [
     "child_seed",
     "generate_graph",
     "generate_pair",
+    "parse_seed",
     "run_cell",
     "run_sweep",
     "sweep_rows_to_csv",
@@ -101,6 +102,10 @@ def generate_graph(family: str, params: dict, seed: int) -> Graph:
 
 def _density(g: Graph) -> float:
     return 2 * g.edge_count / (g.n * (g.n - 1)) if g.n > 1 else 0.0
+
+
+PAIR_FAMILIES = ("er", "sbm", "regular", "powerlaw", "er_sbm")
+NOISE_MODELS = ("none", "model1", "model2")
 
 
 def generate_pair(spec: dict, seed: int) -> tuple[Graph, Graph, Permutation | None]:
@@ -202,11 +207,18 @@ def validate_config(config: dict) -> None:
         raise ConfigError("config must list at least one method")
     if not isinstance(methods, list) or not all(isinstance(m, dict) for m in methods):
         raise ConfigError("'methods' must be a list of objects")
+    family = config["pair"].get("family")
+    if family not in PAIR_FAMILIES:
+        raise ConfigError(f"pair family {family!r} is not one of {', '.join(PAIR_FAMILIES)}")
+    noise = config["pair"].get("noise", "none")
+    if noise not in NOISE_MODELS:
+        raise ConfigError(f"pair noise {noise!r} is not one of {', '.join(NOISE_MODELS)}")
     seeds = config.get("seeds")
     if not seeds:
         raise ConfigError("config must list at least one seed")
-    if not isinstance(seeds, list) or not all(isinstance(s, (int, float, str)) for s in seeds):
-        raise ConfigError("'seeds' must be a list of numbers or strings")
+    if not isinstance(seeds, list):
+        raise ConfigError("'seeds' must be a list of integers or digit strings")
+    seeds = [parse_seed(s) for s in seeds]
     if len(set(seeds)) != len(seeds):
         raise ConfigError("seeds must be distinct")
     for method in methods:
@@ -233,6 +245,15 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def parse_seed(value, name: str = "seed") -> int:
+    """A cell seed: a non-negative integer that is not a boolean, or a string of decimal digits."""
+    if _is_int(value) and value >= 0:
+        return value
+    if isinstance(value, str) and value.isascii() and value.isdecimal():
+        return int(value)
+    raise ConfigError(f"{name} {value!r} is not a non-negative integer")
+
+
 def _check_method_fields(method: dict) -> None:
     """Reject a ``rank``, ``eps`` or ``restrict_k`` that every cell would fail on."""
     name = method["name"]
@@ -250,7 +271,7 @@ def _check_method_fields(method: dict) -> None:
 def run_sweep(config: dict, jobs: int = 1, seeds_override: list[int] | None = None) -> list[dict]:
     """All cell records of the sweep, in deterministic config order."""
     validate_config(config)
-    seeds = seeds_override if seeds_override is not None else [int(s) for s in config["seeds"]]
+    seeds = seeds_override if seeds_override is not None else [parse_seed(s) for s in config["seeds"]]
     pair_spec = config["pair"]
     cells = [
         (pair_spec, method, float(gamma), int(seed))

@@ -4,9 +4,11 @@ The exact solver makes one ``scipy.optimize.linear_sum_assignment`` solve
 on a cost matrix with disallowed cells at +inf, and then normalizes the
 returned assignment to the lexicographically smallest optimum, so
 equal-weight ties resolve deterministically to the lowest (i, then j').
-The normalization tests each candidate (i, j') by one more solve on the
-rows after i and the columns still free, so it runs only where a tie can
-reach. Every near-optimal assignment differs from the solved one by
+The normalization carries a *held* assignment within the tolerance, at
+first the solved one: row i keeps its held column without a solve, unless
+a free column below it passes one more solve on the rows after i and the
+columns still free, whose solution is then held.
+Every near-optimal assignment differs from the solved one by
 exchange cycles (Klein's cycle-cancelling condition), so the exchange
 graph on the smaller side, with a pool node for the columns nobody takes,
 gives each pair its cheapest cycle. That search is pruned by reduced
@@ -169,13 +171,13 @@ def hungarian_max_weight(w: np.ndarray, allowed: np.ndarray | None = None) -> As
     else:
         pinned = loss > tol
     pinned_rows, pinned_cols = solved[0][pinned], solved[1][pinned]
-    flexible_rows = np.ones(n1, dtype=bool)
-    flexible_rows[pinned_rows] = False
-    flexible_cols = np.ones(n2, dtype=bool)
-    flexible_cols[pinned_cols] = False
     pinned_weight = float(w[pinned_rows, pinned_cols].sum())
     pairs = list(zip(pinned_rows.tolist(), pinned_cols.tolist()))
-    pairs += _normalise(cost, np.flatnonzero(flexible_rows), np.flatnonzero(flexible_cols), optimum - pinned_weight, tol)
+    rows, cols = np.delete(np.arange(n1), pinned_rows), np.delete(np.arange(n2), pinned_cols)
+    # each flexible row's solved column as a position in cols, -1 if unmatched
+    held = np.full(n1, -1)
+    held[solved[0]] = np.searchsorted(cols, solved[1])
+    pairs += _normalise(cost, rows, cols, held[rows], optimum - pinned_weight, tol)
     pairs.sort()
     return Assignment(pairs=tuple(pairs), total_weight=float(w[tuple(zip(*pairs))].sum()) if pairs else 0.0)
 
@@ -247,51 +249,47 @@ def _cycle_losses(cost: np.ndarray, owners: np.ndarray, taken: np.ndarray, tol: 
 
 
 def _normalise(
-    cost: np.ndarray, rows: np.ndarray, cols: np.ndarray, optimum: float, tol: float
+    cost: np.ndarray, rows: np.ndarray, cols: np.ndarray, held: np.ndarray, optimum: float, tol: float
 ) -> list[tuple[int, int]]:
     """Lexicographically smallest assignment of ``rows`` to ``cols`` within ``tol`` of ``optimum``.
 
     Works on the submatrix ``cost[rows, cols]`` and returns the pairs in
-    the full matrix's indices. Pairs (i, j') are fixed greedily in
-    ascending order, keeping only choices that preserve the optimal total.
-    Rows before i are matched or dropped, so each completion runs on rows
-    i+1.. and the free columns.
+    the full matrix's indices. ``held`` (updated in place) is an assignment
+    within ``tol``: each row's position in ``cols``, -1 if unmatched. Row i
+    tests only the free columns below its held one, all of them if -1, each
+    by one solve on rows i+1.. and the free columns; the first that keeps
+    the optimal total is taken and its solve becomes ``held``. Otherwise
+    row i keeps its held column, or stays unmatched, without a solve.
     """
     cost = cost[np.ix_(rows, cols)]
+    allowed = np.isfinite(cost)
     rows, cols = rows.tolist(), cols.tolist()
     pairs: list[tuple[int, int]] = []
     fixed_weight = 0.0
     free_cols = np.ones(len(cols), dtype=bool)
     target_size = min(cost.shape)
     for i in range(len(rows)):
-        if len(pairs) == target_size:
-            break
-        for j in np.flatnonzero(np.isfinite(cost[i]) & free_cols).tolist():
+        h = int(held[i])
+        below = len(cols) if h < 0 else h
+        for j in np.flatnonzero(allowed[i, :below] & free_cols[:below]).tolist():
             free_cols[j] = False
-            rest = _best_completion(cost[i + 1 :, free_cols], target_size - len(pairs) - 1)
-            if rest is not None and fixed_weight - cost[i, j] + rest >= optimum - tol:
-                pairs.append((rows[i], cols[j]))
-                fixed_weight -= float(cost[i, j])
-                break
+            sub = cost[i + 1 :, free_cols]
+            need = target_size - len(pairs) - 1
+            solved = _solve_lap(sub) if 0 < need <= min(sub.shape) else None
+            if need == 0 or solved is not None:
+                rest = -float(sub[solved].sum()) if need else 0.0
+                if fixed_weight - cost[i, j] + rest >= optimum - tol:
+                    held[i + 1 :] = -1
+                    if need:
+                        held[i + 1 + solved[0]] = np.flatnonzero(free_cols)[solved[1]]
+                    h = j
+                    break
             free_cols[j] = True
-        else:
-            # Row i is unmatched in every optimal solution (only possible with more rows than columns).
-            rest = _best_completion(cost[i + 1 :, free_cols], target_size - len(pairs))
-            if rest is None or fixed_weight + rest < optimum - tol:
-                raise AssertionError("lexicographic normalization lost the optimum")
+        if h >= 0:
+            free_cols[h] = False
+            pairs.append((rows[i], cols[h]))
+            fixed_weight -= float(cost[i, h])
     return pairs
-
-
-def _best_completion(cost: np.ndarray, need: int) -> float | None:
-    """Best total weight of a matching of size ``need`` on a cost submatrix, or None."""
-    if need == 0:
-        return 0.0
-    if need > min(cost.shape):
-        return None
-    solved = _solve_lap(cost)
-    if solved is None:
-        return None
-    return -float(cost[solved].sum())
 
 
 def greedy_matching(w: np.ndarray, allowed: np.ndarray | None = None) -> Assignment:

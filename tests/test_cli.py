@@ -289,6 +289,14 @@ class TestSweep:
             {**SMALL_CONFIG, "methods": [{"name": "lra", "gammas": [0.2], "rank": 0}]},
             {**SMALL_CONFIG, "methods": [{"name": "ea", "gammas": [0.2], "eps": -1}]},
             {**SMALL_CONFIG, "methods": [{"name": "ea", "gammas": [0.2], "restrict_k": 0}]},
+            {**SMALL_CONFIG, "pair": {"n": 5, "p": 0.3}},
+            {**SMALL_CONFIG, "pair": {"family": "erx", "n": 5, "p": 0.3}},
+            {**SMALL_CONFIG, "pair": {"family": "er", "n": 5, "p": 0.3, "noise": "modl1"}},
+            {**SMALL_CONFIG, "seeds": [1, 1.5]},
+            {**SMALL_CONFIG, "seeds": [True]},
+            {**SMALL_CONFIG, "seeds": [-1]},
+            {**SMALL_CONFIG, "seeds": ["x"]},
+            {**SMALL_CONFIG, "seeds": [1, "1"]},
         ],
         ids=[
             "not-object",
@@ -303,6 +311,14 @@ class TestSweep:
             "rank-zero",
             "eps-negative",
             "restrict-k-zero",
+            "family-missing",
+            "family-unknown",
+            "noise-unknown",
+            "seed-float",
+            "seed-bool",
+            "seed-negative",
+            "seed-word",
+            "seeds-equal-after-conversion",
         ],
     )
     def test_wrong_typed_config_usage_error(self, tmp_path, capsys, config):
@@ -335,6 +351,34 @@ class TestSweep:
         code, _, err = run_main(["sweep", str(cfg)], capsys)
         assert code == 1
         assert repr(method["name"]) in err and value in err
+
+    @pytest.mark.parametrize(
+        "field, value, shown",
+        [
+            ("pair", {"n": 5, "p": 0.3}, "None"),
+            ("pair", {"family": "erx", "n": 5, "p": 0.3}, "'erx'"),
+            ("pair", {"family": "er", "n": 5, "p": 0.3, "noise": "modl1"}, "'modl1'"),
+            ("seeds", [1, 1.5], "1.5"),
+            ("seeds", [True], "True"),
+            ("seeds", [-1], "-1"),
+            ("seeds", ["x"], "'x'"),
+        ],
+    )
+    def test_bad_pair_or_seed_names_value(self, tmp_path, capsys, field, value, shown):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**SMALL_CONFIG, field: value}))
+        code, _, err = run_main(["sweep", str(cfg)], capsys)
+        assert code == 1
+        assert shown in err
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "1.5", ""])
+    def test_bad_env_seed_usage_error(self, tmp_path, capsys, monkeypatch, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(SMALL_CONFIG))
+        monkeypatch.setenv("SPECALIGN_SEED", value)
+        code, _, err = run_main(["sweep", str(cfg)], capsys)
+        assert code == 1
+        assert f"SPECALIGN_SEED {value!r}" in err
 
     @pytest.mark.parametrize("cpus, want", [(64, [3]), (2, [2]), (None, [])])
     def test_worker_count_clamped(self, monkeypatch, cpus, want):

@@ -149,6 +149,49 @@ def exchange_graphs(draw, orientation):
     return cost, solved[0], solved[1], tol
 
 
+NEAR_TIE_DELTAS = [0.0, 1e-10, -1e-10, 3e-10, -3e-10, 1e-9, -1e-9, 2e-9, -2e-9]
+
+
+@st.composite
+def near_ties(draw, orientation, scale):
+    """Weights ``k/10 * scale`` moved by up to two tie tolerances, and a feasible mask or none.
+
+    At scale 1e-3 the optimum is below 1, so the tolerance is an absolute
+    1e-9, as in exact ``ea`` on eigenvector entries; at scale 1 it grows
+    with the optimum. Shapes reach 5x7.
+    """
+    small = draw(st.integers(1, 5))
+    big = small if orientation == "square" else small + draw(st.integers(1, 2))
+    shape = (big, small) if orientation == "tall" else (small, big)
+    k = draw(arrays(np.int64, shape, elements=st.integers(0, 10), fill=st.nothing()))
+    delta = draw(arrays(np.float64, shape, elements=st.sampled_from(NEAR_TIE_DELTAS), fill=st.nothing()))
+    w = k / 10 * scale + delta
+    allowed = draw(st.none() | arrays(np.bool_, shape, elements=st.sampled_from([False, True, True])))
+    if allowed is not None:
+        cols = draw(st.permutations(range(big)))[:small]
+        rows, cols = (cols, range(small)) if orientation == "tall" else (range(small), cols)
+        allowed[list(rows), list(cols)] = True
+    return w, allowed
+
+
+def full_assignments(w, allowed):
+    """Every allowed full assignment of the smaller side as (weight, row-order key), by enumeration.
+
+    The key lists each row's column in row order, an unmatched row counting as +inf.
+    """
+    n1, n2 = w.shape
+    if n1 <= n2:
+        candidates = [list(enumerate(cols)) for cols in itertools.permutations(range(n2), n1)]
+    else:
+        candidates = [[(r, j) for j, r in enumerate(rows)] for rows in itertools.permutations(range(n1), n2)]
+    out = []
+    for pairs in candidates:
+        if all(allowed[i, j] for i, j in pairs):
+            col_of = dict(pairs)
+            out.append((sum(w[i, j] for i, j in pairs), [col_of.get(i, np.inf) for i in range(n1)]))
+    return out
+
+
 def pins(loss, tol):
     """The matcher's rule: the pinned pairs, or None where it normalises the whole problem."""
     if loss is None or np.any(np.abs(loss - tol) <= _FALLBACK_BAND * tol):
@@ -305,9 +348,9 @@ def normalised_rows(monkeypatch):
     seen = []
     normalise = specalign.matching._normalise
 
-    def spy(cost, rows, cols, optimum, tol):
+    def spy(cost, rows, cols, held, optimum, tol):
         seen.append(rows.tolist())
-        return normalise(cost, rows, cols, optimum, tol)
+        return normalise(cost, rows, cols, held, optimum, tol)
 
     monkeypatch.setattr(specalign.matching, "_normalise", spy)
     return seen
@@ -381,6 +424,57 @@ class TestTieBreakAgainstOracle:
         got = hungarian_max_weight(w, allowed)
         assert got.pairs == want.pairs
         assert got.total_weight == want.total_weight
+
+    @pytest.mark.parametrize("orientation", ["wide", "square", "tall"])
+    @pytest.mark.parametrize("scale", [1.0, 1e-3])
+    @given(data=st.data())
+    def test_near_ties_within_tolerance_of_brute_force(self, orientation, scale, data):
+        # Near-ties a few ulps either side of the tolerance: the result must be
+        # near-optimal, and no clearly near-optimal assignment may precede it.
+        w, allowed = data.draw(near_ties(orientation, scale))
+        mask = np.ones(w.shape, dtype=bool) if allowed is None else allowed
+        a = hungarian_max_weight(w, allowed)
+        everything = full_assignments(w, mask)
+        best = max(weight for weight, _ in everything)
+        tol = _TIE_TOL * max(1.0, abs(best))
+        col_of = dict(a.pairs)
+        key = [col_of.get(i, np.inf) for i in range(w.shape[0])]
+        assert len(a) == min(w.shape)
+        assert a.total_weight >= best - 1.001 * tol
+        assert not [k for weight, k in everything if weight >= best - 0.999 * tol and k < key]
+
+    @pytest.mark.parametrize(
+        "w, pairs",
+        [
+            (
+                [[1.0, 2e-09, 0.999999999], [2.000000001, 0.999999999, 0.0], [1e-09, 1.0, 1.999999998]],
+                ((0, 0), (1, 1), (2, 2)),
+            ),
+            (
+                [[0.0002, 0.000600001, 0.0002], [0.0002999999, 0.0009999997, 0.0006999997], [0.0005, 0.0009, 0.0005999999]],
+                ((0, 0), (1, 2), (2, 1)),
+            ),
+        ],
+    )
+    def test_completion_summed_twice_keeps_the_optimum(self, w, pairs):
+        # A completion accepted at one row sums to one ulp below the threshold
+        # when re-solved at the next; the held assignment is not re-solved.
+        assert hungarian_max_weight(np.array(w)).pairs == pairs
+
+    @pytest.mark.parametrize("shape", [(4, 4), (3, 5), (5, 3)])
+    def test_all_equal_needs_one_lap(self, monkeypatch, shape):
+        # every row is flexible, and every row's held column is its lowest free one
+        calls = []
+        lap = specalign.matching.linear_sum_assignment
+
+        def counting(cost):
+            calls.append(cost.shape)
+            return lap(cost)
+
+        monkeypatch.setattr(specalign.matching, "linear_sum_assignment", counting)
+        a = hungarian_max_weight(np.ones(shape))
+        assert a.pairs == tuple((i, i) for i in range(min(shape)))
+        assert calls == [shape]
 
     def test_unique_optimum_needs_one_lap(self, monkeypatch):
         rng = np.random.default_rng(0)
