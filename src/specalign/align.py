@@ -280,7 +280,7 @@ def brute_force_qap(g1: Graph, g2: Graph, gamma: float) -> AlignmentResult:
     best_perm: tuple[int, ...] | None = None
     for perm in itertools.permutations(range(n)):
         idx = np.asarray(perm)
-        value = float((m1 * m2[np.ix_(idx, idx)]).sum())
+        value = float((m1 * m2[:, idx][idx]).sum())
         if value > best_value:
             best_value = value
             best_perm = perm

@@ -218,9 +218,7 @@ def validate_config(config: dict) -> None:
         raise ConfigError("config must list at least one seed")
     if not isinstance(seeds, list):
         raise ConfigError("'seeds' must be a list of integers or digit strings")
-    seeds = [parse_seed(s) for s in seeds]
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError("seeds must be distinct")
+    _parse_seeds(seeds)
     for method in methods:
         if method.get("name") not in ("ea", "lra", "brute"):
             raise ConfigError(f"unknown method {method.get('name')!r}")
@@ -254,6 +252,14 @@ def parse_seed(value, name: str = "seed") -> int:
     raise ConfigError(f"{name} {value!r} is not a non-negative integer")
 
 
+def _parse_seeds(seeds: list) -> list[int]:
+    """Cell seeds, each by :func:`parse_seed`, that must be distinct."""
+    seeds = [parse_seed(s) for s in seeds]
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError("seeds must be distinct")
+    return seeds
+
+
 def _check_method_fields(method: dict) -> None:
     """Reject a ``rank``, ``eps`` or ``restrict_k`` that every cell would fail on."""
     name = method["name"]
@@ -271,10 +277,10 @@ def _check_method_fields(method: dict) -> None:
 def run_sweep(config: dict, jobs: int = 1, seeds_override: list[int] | None = None) -> list[dict]:
     """All cell records of the sweep, in deterministic config order."""
     validate_config(config)
-    seeds = seeds_override if seeds_override is not None else [parse_seed(s) for s in config["seeds"]]
+    seeds = _parse_seeds(config["seeds"] if seeds_override is None else seeds_override)
     pair_spec = config["pair"]
     cells = [
-        (pair_spec, method, float(gamma), int(seed))
+        (pair_spec, method, float(gamma), seed)
         for method in config["methods"]
         for gamma in method["gammas"]
         for seed in seeds

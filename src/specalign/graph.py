@@ -52,7 +52,7 @@ class Graph:
             raise ValueError(f"adjacency must be square, got shape {adj.shape}")
         if adj.shape[0] == 0:
             raise ValueError("graph must have at least one node")
-        if not np.isin(adj, (0, 1)).all():
+        if not ((adj == 0) | (adj == 1)).all():
             raise ValueError("adjacency entries must be 0 or 1")
         if np.diagonal(adj).any():
             raise ValueError("self-loops are not allowed (diagonal must be 0)")
@@ -232,7 +232,8 @@ def apply_permutation(g: Graph, p: Permutation) -> Graph:
     if p.n != g.n:
         raise ValueError(f"permutation size {p.n} does not match graph size {g.n}")
     inv = p.inverse().mapping
-    return Graph(g.adjacency[np.ix_(inv, inv)], directed=g.directed)
+    # columns first keeps the relabelled adjacency C-ordered
+    return Graph(g.adjacency[:, inv][inv], directed=g.directed)
 
 
 def pad_to(g: Graph, n_target: int) -> Graph:

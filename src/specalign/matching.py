@@ -28,8 +28,9 @@ witness built, from a Hopcroft-Karp maximum matching
 (``scipy.sparse.csgraph.maximum_bipartite_matching``). The greedy variant
 implements the classic heaviest-cell sweep with a 1/2-approximation
 guarantee for non-negative weights; a heap of each row's best free
-column, over one stable sort per row, visits the cells in the same order
-as one stable sort of all the allowed cells.
+column, over a SIMD sort of each row plus a stable re-sort of the rows
+whose keys tie, visits the cells in the same order as one stable sort of
+all the allowed cells.
 """
 
 from __future__ import annotations
@@ -213,11 +214,11 @@ def _cycle_losses(cost: np.ndarray, owners: np.ndarray, taken: np.ndarray, tol: 
     problem.
     """
     held = cost[owners, taken]
-    graph = cost[np.ix_(owners, taken)] - held[:, None]
+    graph = cost[:, taken][owners] - held[:, None]
     free = np.ones(cost.shape[1], dtype=bool)
     free[taken] = False
     if free.any():
-        pool = cost[np.ix_(owners, np.flatnonzero(free))].min(axis=1) - held
+        pool = cost[:, free][owners].min(axis=1) - held
         graph = np.vstack([np.column_stack([graph, pool]), np.zeros(len(held) + 1)])
     np.fill_diagonal(graph, np.inf)
     nodes = len(graph)
@@ -238,7 +239,7 @@ def _cycle_losses(cost: np.ndarray, owners: np.ndarray, taken: np.ndarray, tol: 
             break
         live = survivors
     keep = np.flatnonzero(live)
-    sub = np.where(tight, graph, np.inf)[np.ix_(keep, keep)]
+    sub = np.where(tight, graph, np.inf)[:, keep][keep]
     via = np.empty_like(sub)
     for k in range(len(sub)):
         np.add(sub[:, k, None], sub[k], out=via)
@@ -261,7 +262,7 @@ def _normalise(
     the optimal total is taken and its solve becomes ``held``. Otherwise
     row i keeps its held column, or stays unmatched, without a solve.
     """
-    cost = cost[np.ix_(rows, cols)]
+    cost = cost[:, cols][rows]
     allowed = np.isfinite(cost)
     rows, cols = rows.tolist(), cols.tolist()
     pairs: list[tuple[int, int]] = []
@@ -298,17 +299,23 @@ def greedy_matching(w: np.ndarray, allowed: np.ndarray | None = None) -> Assignm
     For non-negative weights the result is at least half the optimum. Under
     restrictive masks the matching may cover fewer than min(n1, n2) rows.
 
-    Each row's allowed cells are sorted once, and a heap holds one
-    ``(-w, i, j')`` entry per unmatched row: its best column not yet seen
-    taken. Columns are only ever taken, so a popped entry whose column is
-    free is the heaviest free cell, in the (-w, i, j') order of one stable
-    sort of all the cells; one whose column was taken advances to its row's
-    next free column and goes back on the heap.
+    Each row's cells are sorted once: the SIMD sort, plus a stable re-sort
+    of the rows whose sorted keys hold an exact tie, gives the order of
+    one stable sort per row, since keys without ties have only one sorted
+    order. A heap holds one ``(-w, i, j')`` entry per unmatched row: its
+    best column not yet seen taken. Columns are only ever taken, so a
+    popped entry whose column is free is the heaviest free cell, in the
+    (-w, i, j') order of one stable sort of all the cells; one whose column
+    was taken advances to its row's next free column and goes back on the
+    heap.
     """
     w, allowed = _as_weight_mask(w, allowed)
     n1, n2 = w.shape
     key = np.where(allowed, -w, np.inf)
-    order = np.argsort(key, axis=1, kind="stable")
+    order = np.argsort(key, axis=1)
+    ranked = np.sort(key, axis=1)
+    tied = np.flatnonzero((ranked[:, 1:] == ranked[:, :-1]).any(axis=1))
+    order[tied] = np.argsort(key[tied], axis=1, kind="stable")
     ends = allowed.sum(axis=1).tolist()
     at = [0] * n1
     heap = [(float(key[i, order[i, 0]]), i, int(order[i, 0])) for i in range(n1) if ends[i]]
@@ -323,9 +330,11 @@ def greedy_matching(w: np.ndarray, allowed: np.ndarray | None = None) -> Assignm
             pairs.append((i, j))
             total += float(w[i, j])
             continue
-        ahead = np.flatnonzero(col_free[order[i, at[i] + 1 : ends[i]]])
+        ahead = col_free[order[i, at[i] + 1 : ends[i]]]
         if ahead.size:
-            at[i] += 1 + int(ahead[0])
-            j = int(order[i, at[i]])
-            heapq.heappush(heap, (float(key[i, j]), i, j))
+            k = int(ahead.argmax())  # the first free column, if any is
+            if ahead[k]:
+                at[i] += 1 + k
+                j = int(order[i, at[i]])
+                heapq.heappush(heap, (float(key[i, j]), i, j))
     return Assignment(pairs=tuple(pairs), total_weight=total)

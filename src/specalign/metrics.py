@@ -44,7 +44,7 @@ def _mapped_blocks(g1: Graph, g2: Graph, mapping) -> tuple[np.ndarray, np.ndarra
     cols = [j for _, j in pairs]
     if pairs and (max(rows) >= g1.n or max(cols) >= g2.n):
         raise ValueError("mapping references nodes outside the graphs")
-    return g1.adjacency[np.ix_(rows, rows)], g2.adjacency[np.ix_(cols, cols)]
+    return g1.adjacency[:, rows][rows], g2.adjacency[:, cols][cols]
 
 
 def count_alignment_ordered(g1: Graph, g2: Graph, mapping) -> tuple[int, int, int]:

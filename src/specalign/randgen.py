@@ -59,7 +59,7 @@ def stochastic_block_model(block_sizes: list[int], density: np.ndarray, seed: in
     if any(s <= 0 for s in block_sizes):
         raise ValueError("block sizes must be positive")
     block_of = np.repeat(np.arange(k), block_sizes)
-    pair_prob = density[np.ix_(block_of, block_of)]
+    pair_prob = density[:, block_of][block_of]
     rng = np.random.default_rng(seed)
     return Graph(_symmetric_bernoulli(len(block_of), pair_prob, rng))
 

@@ -178,8 +178,10 @@ def build_alignment_matrix(
             "use the implicit operator (alignment_matvec) for full mapping sets"
         )
     rows, cols = mapping_set.rows_cols()
-    e1 = g1.adjacency[np.ix_(rows, rows)]
-    e2 = g2.adjacency[np.ix_(cols, cols)]
+    # one axis at a time, columns first, so the blocks come out C-ordered
+    # as from np.ix_, at a fraction of its cost
+    e1 = g1.adjacency[:, rows][rows]
+    e2 = g2.adjacency[:, cols][cols]
     if g1.directed:
         code = 8 * e1 + 4 * e1.T + 2 * e2 + e2.T
         table = [directed_alignment_entry(s, *bits) for bits in itertools.product((0, 1), repeat=4)]
@@ -211,9 +213,9 @@ def alignment_matvec(g1: Graph, g2: Graph, s: ScoreScheme, y: np.ndarray) -> np.
     g1_side = a1_y.sum(axis=1, keepdims=True)
     g2_side = Y.sum(axis=0, keepdims=True) @ a2.T
     total = Y.sum()
-    Z = (
-        (s.s1 + s.s2 - 2 * s.s3) * coupled
-        + (s.s3 - s.s2) * (g1_side + g2_side)
-        + s.s2 * total
-    )
-    return Z.reshape(n1 * n2, order="F")
+    coupled *= s.s1 + s.s2 - 2 * s.s3
+    side = g1_side + g2_side
+    side *= s.s3 - s.s2
+    coupled += side
+    coupled += s.s2 * total
+    return coupled.reshape(n1 * n2, order="F")

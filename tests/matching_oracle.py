@@ -11,10 +11,17 @@ tests in ``test_matching.py`` require the fast matcher to return the same
 ``_cycle_losses`` below is the exchange-graph cycle search as it was
 before the reduced-cost pruning: a dense Floyd-Warshall over every pair.
 ``test_matching.py`` requires the pruned search to pin the same pairs.
+
+``greedy_matching`` below is the greedy matcher as it was before the SIMD
+row sort: one stable sort per row, and ``np.flatnonzero`` to advance a
+row whose column was taken. ``test_matching.py`` requires the fast
+greedy to return the same ``pairs`` and ``total_weight``.
 Do not edit the copied functions.
 """
 
 from __future__ import annotations
+
+import heapq
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -127,3 +134,42 @@ def _cycle_losses(cost: np.ndarray, owners: np.ndarray, taken: np.ndarray) -> np
         np.add(graph[:, k, None], graph[k], out=via)
         np.minimum(graph, via, out=graph)
     return graph.diagonal()[: len(held)]
+
+
+def greedy_matching(w: np.ndarray, allowed: np.ndarray | None = None) -> Assignment:
+    """Greedy heaviest-cell matching; ties go to the lowest (i, then j').
+
+    For non-negative weights the result is at least half the optimum. Under
+    restrictive masks the matching may cover fewer than min(n1, n2) rows.
+
+    Each row's allowed cells are sorted once, and a heap holds one
+    ``(-w, i, j')`` entry per unmatched row: its best column not yet seen
+    taken. Columns are only ever taken, so a popped entry whose column is
+    free is the heaviest free cell, in the (-w, i, j') order of one stable
+    sort of all the cells; one whose column was taken advances to its row's
+    next free column and goes back on the heap.
+    """
+    w, allowed = _as_weight_mask(w, allowed)
+    n1, n2 = w.shape
+    key = np.where(allowed, -w, np.inf)
+    order = np.argsort(key, axis=1, kind="stable")
+    ends = allowed.sum(axis=1).tolist()
+    at = [0] * n1
+    heap = [(float(key[i, order[i, 0]]), i, int(order[i, 0])) for i in range(n1) if ends[i]]
+    heapq.heapify(heap)
+    col_free = np.ones(n2, dtype=bool)
+    pairs: list[tuple[int, int]] = []
+    total = 0.0
+    while heap and len(pairs) < min(n1, n2):
+        _, i, j = heapq.heappop(heap)
+        if col_free[j]:
+            col_free[j] = False
+            pairs.append((i, j))
+            total += float(w[i, j])
+            continue
+        ahead = np.flatnonzero(col_free[order[i, at[i] + 1 : ends[i]]])
+        if ahead.size:
+            at[i] += 1 + int(ahead[0])
+            j = int(order[i, at[i]])
+            heapq.heappush(heap, (float(key[i, j]), i, j))
+    return Assignment(pairs=tuple(pairs), total_weight=total)

@@ -409,6 +409,17 @@ class TestSweep:
         assert created == want
         assert [row["error"] for row in rows] == ["", "", ""]
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [([-1], "seed -1 is not"), ([1, 1], "distinct"), (["x"], "seed 'x' is not"), ([True], "seed True is not")],
+    )
+    def test_seeds_override_follows_the_seed_rule(self, override, message):
+        with pytest.raises(experiments.ConfigError, match=message):
+            run_sweep(SMALL_CONFIG, seeds_override=override)
+
+    def test_seeds_override_accepts_digit_strings(self):
+        assert [row["seed"] for row in run_sweep(SMALL_CONFIG, seeds_override=["3", 4])] == [3, 4]
+
     def test_partial_failure_recorded_per_row(self):
         config = {
             "pair": {"family": "er", "n": 12, "p": 0.25, "noise": "none"},

@@ -84,6 +84,20 @@ class TestGraphValidation:
         with pytest.raises(ValueError, match="self-loops"):
             Graph(adj)
 
+    @pytest.mark.parametrize("value", [0.5, 2, -1, np.nan])
+    def test_rejects_entries_other_than_0_and_1(self, value):
+        adj = np.zeros((3, 3))
+        adj[0, 1] = adj[1, 0] = value
+        with pytest.raises(ValueError, match="entries must be 0 or 1"):
+            Graph(adj)
+
+    def test_accepts_bool_adjacency(self):
+        adj = np.zeros((3, 3), dtype=bool)
+        adj[0, 1] = adj[1, 0] = True
+        g = Graph(adj)
+        assert g.adjacency.dtype == np.int8
+        assert g.edge_count == 1
+
     @pytest.mark.parametrize("edge", [(0, -1), (0, 3), (-3, 1)])
     def test_from_edges_rejects_out_of_range_ids(self, edge):
         # numpy would wrap a negative id onto the last node

@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 import specalign.matching
 from matching_oracle import _cycle_losses as dense_cycle_losses
+from matching_oracle import greedy_matching as oracle_greedy
 from matching_oracle import hungarian_max_weight as oracle_max_weight
 from scipy.optimize import linear_sum_assignment
 from specalign.matching import (
@@ -545,6 +546,37 @@ class TestGreedy:
         pairs, total = reference_greedy(w, allowed)
         assert a.pairs == pairs
         assert a.total_weight == total
+
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_matches_stable_sort_oracle_on_ties(self, data):
+        # five weight values make most rows tie, -0.0 with 0.0 too, and such
+        # rows take the stable re-sort; some rows are wholly disallowed
+        a, b = sorted(data.draw(st.tuples(st.integers(1, 9), st.integers(1, 12))))
+        shape = data.draw(st.sampled_from([(a, b), (b, a), (a, a)]))
+        elements = st.sampled_from([-1.0, -0.0, 0.0, 1.0, 2.0])
+        w = data.draw(arrays(np.float64, shape, elements=elements, fill=st.nothing()))
+        allowed = data.draw(st.none() | arrays(np.bool_, shape))
+        if allowed is not None:
+            allowed[data.draw(st.lists(st.integers(0, shape[0] - 1), max_size=3))] = False
+        got, want = greedy_matching(w, allowed), oracle_greedy(w, allowed)
+        assert got.pairs == want.pairs
+        assert got.total_weight == want.total_weight
+
+    @given(seed=st.integers(0, 2**32), shape=st.sampled_from([(64, 64), (200, 150)]), masked=st.booleans())
+    @settings(max_examples=20, deadline=None)
+    def test_matches_stable_sort_oracle_untied(self, seed, shape, masked):
+        # normal weights do not tie, so rows keep the SIMD sort's order; a
+        # mask gives a few rows tied +inf keys and the stable re-sort
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal(shape)
+        allowed = None
+        if masked:
+            allowed = np.ones(shape, dtype=bool)
+            allowed[rng.integers(0, shape[0], size=(5, 1)), rng.integers(0, shape[1], size=(5, 2))] = False
+        got, want = greedy_matching(w, allowed), oracle_greedy(w, allowed)
+        assert got.pairs == want.pairs
+        assert got.total_weight == want.total_weight
 
     @pytest.mark.parametrize("shape, density", [((150, 150), None), ((200, 120), 0.1), ((120, 200), 0.1)])
     def test_matches_reference_at_size(self, shape, density):

@@ -243,6 +243,26 @@ class TestAlignmentMatvec:
         y = rng.standard_normal(n1 * n2)
         assert np.abs(a_cm @ y - alignment_matvec(g1, g2, s, y)).max() < 1e-10
 
+    @given(seed=st.integers(0, 2**32), s=SCHEMES | st.just(ScoreScheme(4, 2, 1)))
+    def test_in_place_tail_is_the_expression_bit_for_bit(self, seed, s):
+        # oracle: the three-term expression the in-place updates replaced
+        rng = np.random.default_rng(seed)
+        n1, n2 = rng.integers(1, 30, size=2).tolist()
+        g1 = random_graph(n1, rng.random(), seed, directed=False)
+        g2 = random_graph(n2, rng.random(), seed + 1, directed=False)
+        y = rng.standard_normal(n1 * n2)
+        Y = y.reshape((n1, n2), order="F")
+        a1_y = g1.as_float() @ Y
+        coupled = a1_y @ g2.as_float().T
+        g1_side = a1_y.sum(axis=1, keepdims=True)
+        g2_side = Y.sum(axis=0, keepdims=True) @ g2.as_float().T
+        want = (
+            (s.s1 + s.s2 - 2 * s.s3) * coupled
+            + (s.s3 - s.s2) * (g1_side + g2_side)
+            + s.s2 * Y.sum()
+        ).reshape(n1 * n2, order="F")
+        assert np.array_equal(alignment_matvec(g1, g2, s, y), want)
+
     def test_dimension_mismatch(self):
         g = erdos_renyi(3, 0.5, 0)
         with pytest.raises(ValueError, match="length"):
