@@ -29,8 +29,8 @@ witness built, from a Hopcroft-Karp maximum matching
 implements the classic heaviest-cell sweep with a 1/2-approximation
 guarantee for non-negative weights; a heap of each row's best free
 column, over a SIMD sort of each row plus a stable re-sort of the rows
-whose keys tie, visits the cells in the same order as one stable sort of
-all the allowed cells.
+whose allowed cells' keys tie, visits the cells in the same order as one
+stable sort of all the allowed cells.
 """
 
 from __future__ import annotations
@@ -101,7 +101,8 @@ def _as_weight_mask(w: np.ndarray, allowed: np.ndarray | None) -> tuple[np.ndarr
         allowed = np.asarray(allowed, dtype=bool)
         if allowed.shape != w.shape:
             raise ValueError(f"mask shape {allowed.shape} does not match weights {w.shape}")
-    if not np.isfinite(w[allowed]).all():
+    # bool blocks only: w[allowed] would copy the weights
+    if not (np.isfinite(w) | ~allowed).all():
         raise ValueError("weights on allowed cells must be finite")
     return w, allowed
 
@@ -300,25 +301,31 @@ def greedy_matching(w: np.ndarray, allowed: np.ndarray | None = None) -> Assignm
     restrictive masks the matching may cover fewer than min(n1, n2) rows.
 
     Each row's cells are sorted once: the SIMD sort, plus a stable re-sort
-    of the rows whose sorted keys hold an exact tie, gives the order of
-    one stable sort per row, since keys without ties have only one sorted
-    order. A heap holds one ``(-w, i, j')`` entry per unmatched row: its
-    best column not yet seen taken. Columns are only ever taken, so a
-    popped entry whose column is free is the heaviest free cell, in the
-    (-w, i, j') order of one stable sort of all the cells; one whose column
-    was taken advances to its row's next free column and goes back on the
-    heap.
+    of the rows whose allowed cells' sorted keys hold an exact tie, gives
+    the order of one stable sort per row, since keys without ties have only
+    one sorted order. Disallowed cells sort last, at +inf, and are never
+    read, so their order does not matter. The keys are sorted in place
+    after the row order is taken. A heap holds one ``(-w, i, j')`` entry
+    per unmatched row: its best column not yet seen taken. Columns are
+    only ever taken, so a popped entry whose column is free is the
+    heaviest free cell, in the (-w, i, j') order of one stable sort of all
+    the cells; one whose column was taken advances to its row's next free
+    column and goes back on the heap.
     """
     w, allowed = _as_weight_mask(w, allowed)
     n1, n2 = w.shape
-    key = np.where(allowed, -w, np.inf)
+    key = np.negative(w, where=allowed, out=np.full(w.shape, np.inf))
     order = np.argsort(key, axis=1)
-    ranked = np.sort(key, axis=1)
-    tied = np.flatnonzero((ranked[:, 1:] == ranked[:, :-1]).any(axis=1))
-    order[tied] = np.argsort(key[tied], axis=1, kind="stable")
+    # from here on key[i, k] is the key of cell (i, order[i, k])
+    key.sort(axis=1)
+    # +inf keys are the disallowed cells, past the end of every row's walk
+    equal = key[:, 1:] == key[:, :-1]
+    equal &= key[:, 1:] < np.inf
+    tied = np.flatnonzero(equal.any(axis=1))
+    order[tied] = np.argsort(np.where(allowed[tied], -w[tied], np.inf), axis=1, kind="stable")
     ends = allowed.sum(axis=1).tolist()
     at = [0] * n1
-    heap = [(float(key[i, order[i, 0]]), i, int(order[i, 0])) for i in range(n1) if ends[i]]
+    heap = [(float(key[i, 0]), i, int(order[i, 0])) for i in range(n1) if ends[i]]
     heapq.heapify(heap)
     col_free = np.ones(n2, dtype=bool)
     pairs: list[tuple[int, int]] = []
@@ -335,6 +342,5 @@ def greedy_matching(w: np.ndarray, allowed: np.ndarray | None = None) -> Assignm
             k = int(ahead.argmax())  # the first free column, if any is
             if ahead[k]:
                 at[i] += 1 + k
-                j = int(order[i, at[i]])
-                heapq.heappush(heap, (float(key[i, j]), i, j))
+                heapq.heappush(heap, (float(key[i, at[i]]), i, int(order[i, at[i]])))
     return Assignment(pairs=tuple(pairs), total_weight=total)

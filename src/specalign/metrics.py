@@ -75,9 +75,14 @@ def generalized_objective(g1: Graph, g2: Graph, mapping, gamma: float) -> float:
     if not 0 <= gamma < 0.5:
         raise ValueError(f"gamma must lie in [0, 1/2), got {gamma}")
     b1, b2 = _mapped_blocks(g1, g2, mapping)
-    m1 = b1.astype(np.float64) - gamma
-    m2 = b2.astype(np.float64) - gamma
-    return float((m1 * m2).sum())
+    # each entry (b1 - gamma) * (b2 - gamma) is one of four products, looked
+    # up by the code 2*b1 + b2 instead of computed on float copies
+    table = np.array([(e1 - gamma) * (e2 - gamma) for e1 in (0.0, 1.0) for e2 in (0.0, 1.0)])
+    code = b1  # formed in b1's block, a fresh gather
+    code *= 2
+    code += b2
+    del b1, b2
+    return float(table[code].sum())
 
 
 def node_accuracy(mapping, truth: Permutation) -> float:

@@ -186,8 +186,11 @@ def build_alignment_matrix(
         code = 8 * e1 + 4 * e1.T + 2 * e2 + e2.T
         table = [directed_alignment_entry(s, *bits) for bits in itertools.product((0, 1), repeat=4)]
     else:
-        code = 2 * e1 + e2
+        code = e1  # formed in e1's block, a fresh gather
+        code *= 2
+        code += e2
         table = [alignment_entry(s, *bits) for bits in itertools.product((0, 1), repeat=2)]
+    del e1, e2  # only the code outlives the gather
     return np.array(table)[code]
 
 
@@ -198,6 +201,14 @@ def alignment_matvec(g1: Graph, g2: Graph, s: ScoreScheme, y: np.ndarray) -> np.
     The three Kronecker-structured terms of the alignment matrix each act
     as a sandwich product on the n1 x n2 unfolding of ``y``, so the full
     matrix is never materialized. Undirected graphs only.
+
+    Besides ``y``, a call holds at most three n1 x n2 float blocks at once
+    (for n1 == n2; each float adjacency counts as one): each adjacency is
+    converted for its own product and released after it, the side terms
+    are written into ``A1 Y``'s block, and that block is released before
+    the column-major copy of the result. With the iterate and its product
+    in :func:`spectral.leading_eigenvector`, a power-iteration step holds
+    at most four blocks.
     """
     if g1.directed or g2.directed:
         raise ValueError("the implicit alignment operator supports undirected graphs only")
@@ -206,16 +217,17 @@ def alignment_matvec(g1: Graph, g2: Graph, s: ScoreScheme, y: np.ndarray) -> np.
     if y.shape != (n1 * n2,):
         raise ValueError(f"vector length {y.shape} does not match n1*n2 = {n1 * n2}")
     Y = y.reshape((n1, n2), order="F")
-    a1 = g1.as_float()
+    a1_y = g1.as_float() @ Y
     a2 = g2.as_float()
-    a1_y = a1 @ Y
     coupled = a1_y @ a2.T
     g1_side = a1_y.sum(axis=1, keepdims=True)
     g2_side = Y.sum(axis=0, keepdims=True) @ a2.T
+    del a2
     total = Y.sum()
     coupled *= s.s1 + s.s2 - 2 * s.s3
-    side = g1_side + g2_side
+    side = np.add(g1_side, g2_side, out=a1_y)
     side *= s.s3 - s.s2
     coupled += side
+    del a1_y, side
     coupled += s.s2 * total
     return coupled.reshape(n1 * n2, order="F")

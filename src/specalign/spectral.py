@@ -62,6 +62,12 @@ def leading_eigenvector(
     eigenvector. Convergence means ``||A v - lambda v|| <= tol * |lambda|``;
     the returned vector is unit-norm and oriented so its largest-magnitude
     entry is positive.
+
+    A step holds the iterate, the product and one temporary block for
+    the residual; the previous product is released before the next one
+    runs, so with :func:`score.alignment_matvec` a step holds at most four
+    n1 x n2 blocks. The product is never written to, since a callable may
+    return a buffer of its own.
     """
     if callable(op):
         matvec = op
@@ -79,7 +85,11 @@ def leading_eigenvector(
     for _ in range(max_iter):
         w = matvec(v)
         lam = float(v @ w)
-        residual = float(np.linalg.norm(w - lam * v))
+        # w - lam * v, in one temporary block
+        r = lam * v
+        np.subtract(w, r, out=r)
+        residual = float(np.linalg.norm(r))
+        del r
         if residual <= tol * max(abs(lam), np.finfo(float).tiny):
             return lam, _orient(v)
         norm = np.linalg.norm(w)
@@ -87,6 +97,7 @@ def leading_eigenvector(
             # Zero operator: any unit vector satisfies Av = 0 = lambda v.
             return 0.0, _orient(v)
         v = w / norm
+        del w
     raise ConvergenceError(
         f"power iteration did not reach tol={tol} within {max_iter} iterations (residual {residual:.3e})",
         residual=residual,

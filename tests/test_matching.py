@@ -563,18 +563,52 @@ class TestGreedy:
         assert got.pairs == want.pairs
         assert got.total_weight == want.total_weight
 
-    @given(seed=st.integers(0, 2**32), shape=st.sampled_from([(64, 64), (200, 150)]), masked=st.booleans())
-    @settings(max_examples=20, deadline=None)
-    def test_matches_stable_sort_oracle_untied(self, seed, shape, masked):
-        # normal weights do not tie, so rows keep the SIMD sort's order; a
-        # mask gives a few rows tied +inf keys and the stable re-sort
+    @given(
+        seed=st.integers(0, 2**32),
+        shape=st.sampled_from([(64, 64), (200, 150)]),
+        mask=st.sampled_from([None, "few", 0.5, 0.9]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_matches_stable_sort_oracle_untied(self, seed, shape, mask):
+        # normal weights do not tie, so rows keep the SIMD sort's order. A
+        # mask ties the +inf keys of disallowed cells: "few" in five rows,
+        # a density in nearly every row. Those rows are not re-sorted, and
+        # their disallowed cells, out of the stable sort's order, are never read.
         rng = np.random.default_rng(seed)
         w = rng.standard_normal(shape)
         allowed = None
-        if masked:
+        if mask == "few":
             allowed = np.ones(shape, dtype=bool)
             allowed[rng.integers(0, shape[0], size=(5, 1)), rng.integers(0, shape[1], size=(5, 2))] = False
+        elif mask is not None:
+            allowed = rng.random(shape) < mask
         got, want = greedy_matching(w, allowed), oracle_greedy(w, allowed)
+        assert got.pairs == want.pairs
+        assert got.total_weight == want.total_weight
+
+    def test_disallowed_ties_skip_the_stable_resort(self, monkeypatch):
+        # untied weights under a mask: only the +inf keys tie, and only
+        # row 0, given a real tie, is re-sorted
+        class Spy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def argsort(self, a, *args, **kwargs):
+                if kwargs.get("kind") == "stable":
+                    resorted.append(len(a))
+                return np.argsort(a, *args, **kwargs)
+
+        resorted = []
+        monkeypatch.setattr(specalign.matching, "np", Spy())
+        rng = np.random.default_rng(3)
+        w = rng.standard_normal((40, 50))
+        allowed = rng.random(w.shape) < 0.5
+        w[0, :2] = 1.5
+        allowed[0, :2] = True
+        got = greedy_matching(w, allowed)
+        assert resorted == [1]
+        monkeypatch.undo()
+        want = oracle_greedy(w, allowed)
         assert got.pairs == want.pairs
         assert got.total_weight == want.total_weight
 

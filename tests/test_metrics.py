@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from specalign.graph import Graph, Permutation
 from specalign.metrics import (
+    _mapped_blocks,
     count_alignment,
     count_alignment_ordered,
     expected_alignment_matrix,
@@ -14,6 +15,16 @@ from specalign.metrics import (
 )
 from specalign.randgen import erdos_renyi, random_permutation
 from specalign.score import ScoreScheme
+
+def oracle_generalized_objective(g1: Graph, g2: Graph, mapping, gamma: float) -> float:
+    """Test-only oracle: the objective as it was before the table lookup, kept verbatim."""
+    if not 0 <= gamma < 0.5:
+        raise ValueError(f"gamma must lie in [0, 1/2), got {gamma}")
+    b1, b2 = _mapped_blocks(g1, g2, mapping)
+    m1 = b1.astype(np.float64) - gamma
+    m2 = b2.astype(np.float64) - gamma
+    return float((m1 * m2).sum())
+
 
 TRIANGLE = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
 IDENTITY3 = tuple((i, i) for i in range(3))
@@ -152,6 +163,19 @@ class TestGeneralizedObjective:
             expected = score_obj / d + m * (m - 1) * (s.gamma**2 - s.s2 / d) + m * s.gamma**2
             got = generalized_objective(g1, g2, mapping, s.gamma)
             assert got == pytest.approx(expected, abs=1e-9)
+
+
+    @given(seed=st.integers(0, 2**32), directed=st.booleans(), gamma=st.sampled_from([0.0, 0.2, 0.499]))
+    def test_table_lookup_is_the_expression_bit_for_bit(self, seed, directed, gamma):
+        # graphs of unequal sizes, mapped partially or fully, in a random pair order
+        rng = np.random.default_rng(seed)
+        n1, n2 = rng.choice(np.arange(1, 60), size=2, replace=False).tolist()
+        g1 = random_graph(n1, rng.random(), seed, directed)
+        g2 = random_graph(n2, rng.random(), seed + 1, directed)
+        m = int(rng.integers(0, min(n1, n2) + 1))
+        mapping = list(zip(rng.permutation(n1)[:m].tolist(), rng.permutation(n2)[:m].tolist()))
+        want = oracle_generalized_objective(g1, g2, mapping, gamma)
+        assert generalized_objective(g1, g2, mapping, gamma) == want
 
 
 class TestNodeAccuracy:

@@ -3,13 +3,72 @@ import pytest
 
 from specalign.metrics import expected_alignment_matrix, mean_field_ratio
 from specalign.randgen import erdos_renyi
-from specalign.score import MappingSet, ScoreScheme, build_alignment_matrix
+from specalign.score import MappingSet, ScoreScheme, alignment_matvec, build_alignment_matrix, from_alpha
 from specalign.spectral import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
     ConvergenceError,
+    LinearOperator,
+    _orient,
     leading_eigenvector,
     psd_shift,
     top_k_eigs,
 )
+
+
+def oracle_leading_eigenvector(
+    op: np.ndarray | LinearOperator,
+    dim: int,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+    seed: int = 0,
+) -> tuple[float, np.ndarray]:
+    """Test-only oracle: power iteration as it was before the loop released
+    its blocks early, kept verbatim. ``leading_eigenvector`` must return the
+    same eigenvalue and vector bit for bit."""
+    if callable(op):
+        matvec = op
+    else:
+        mat = np.asarray(op, dtype=np.float64)
+        if mat.shape != (dim, dim):
+            raise ValueError(f"operator shape {mat.shape} does not match dim {dim}")
+        matvec = lambda x: mat @ x  # noqa: E731
+
+    rng = np.random.default_rng(seed)
+    v = rng.random(dim) + 0.5
+    v /= np.linalg.norm(v)
+    lam = 0.0
+    residual = np.inf
+    for _ in range(max_iter):
+        w = matvec(v)
+        lam = float(v @ w)
+        residual = float(np.linalg.norm(w - lam * v))
+        if residual <= tol * max(abs(lam), np.finfo(float).tiny):
+            return lam, _orient(v)
+        norm = np.linalg.norm(w)
+        if norm == 0:
+            # Zero operator: any unit vector satisfies Av = 0 = lambda v.
+            return 0.0, _orient(v)
+        v = w / norm
+    raise ConvergenceError(
+        f"power iteration did not reach tol={tol} within {max_iter} iterations (residual {residual:.3e})",
+        residual=residual,
+    )
+
+
+class SameBuffer:
+    """A matvec that returns one read-only buffer, overwritten by every call."""
+
+    def __init__(self, m):
+        self.m = m
+        self.buf = np.empty(len(m))
+        self.buf.flags.writeable = False
+
+    def __call__(self, x):
+        self.buf.flags.writeable = True
+        np.matmul(self.m, x, out=self.buf)
+        self.buf.flags.writeable = False
+        return self.buf
 
 
 class TestLeadingEigenvector:
@@ -63,6 +122,50 @@ class TestLeadingEigenvector:
         m = m @ m.T  # PSD, so power iteration is safe
         lam, v = leading_eigenvector(m, 8, tol=1e-11)
         assert np.linalg.norm(m @ v - lam * v) <= 1e-10 * abs(lam)
+
+
+class TestPowerIterationOracle:
+    """The loop that releases its blocks early against the one it replaced, bit for bit."""
+
+    @staticmethod
+    def psd(dim, seed):
+        m = np.random.default_rng(seed).standard_normal((dim, dim))
+        return m @ m.T
+
+    @pytest.mark.parametrize("dim, seed", [(2, 0), (8, 1), (40, 2), (120, 3)])
+    @pytest.mark.parametrize("form", ["dense", "fresh", "same_buffer"])
+    def test_same_floats_as_oracle(self, dim, seed, form):
+        m = self.psd(dim, seed)
+        ops = {"dense": lambda: m, "fresh": lambda: (lambda x: m @ x), "same_buffer": lambda: SameBuffer(m)}
+        lam, v = leading_eigenvector(ops[form](), dim, seed=seed)
+        want_lam, want_v = oracle_leading_eigenvector(ops[form](), dim, seed=seed)
+        assert lam == want_lam
+        assert np.array_equal(v, want_v)
+
+    def test_same_residual_on_nonconvergence(self):
+        m = np.array([[0.0, 1.0], [1.0, 0.0]])
+        for op in (m, SameBuffer(m)):
+            with pytest.raises(ConvergenceError) as got:
+                leading_eigenvector(op, 2, tol=1e-12, max_iter=50)
+            with pytest.raises(ConvergenceError) as want:
+                oracle_leading_eigenvector(op, 2, tol=1e-12, max_iter=50)
+            assert got.value.residual == want.value.residual
+
+    def test_zero_operator(self):
+        lam, v = leading_eigenvector(SameBuffer(np.zeros((3, 3))), 3)
+        want_lam, want_v = oracle_leading_eigenvector(SameBuffer(np.zeros((3, 3))), 3)
+        assert lam == want_lam
+        assert np.array_equal(v, want_v)
+
+    @pytest.mark.parametrize("n1, n2", [(30, 30), (20, 26)])
+    def test_matrix_free_operator(self, n1, n2):
+        g1, g2 = erdos_renyi(n1, 0.2, 3), erdos_renyi(n2, 0.2, 4)
+        s = from_alpha(4, 0.001)
+        op = lambda y: alignment_matvec(g1, g2, s, y)  # noqa: E731
+        lam, v = leading_eigenvector(op, n1 * n2)
+        want_lam, want_v = oracle_leading_eigenvector(op, n1 * n2)
+        assert lam == want_lam
+        assert np.array_equal(v, want_v)
 
 
 class TestTopKEigs:
