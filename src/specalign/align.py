@@ -127,6 +127,7 @@ def eigen_align(
             raise ValueError("mapping set sizes do not match the graphs")
         a_dense = build_alignment_matrix(g1, g2, s, mapping_set)
         _, vec = leading_eigenvector(a_dense, len(mapping_set), seed=seed)
+        del a_dense  # |R|^2 floats that the matching step must not hold
         weights = np.zeros((n1, n2))
         rows, cols = mapping_set.rows_cols()
         weights[rows, cols] = vec

@@ -21,10 +21,15 @@ loses more than the tie tolerance is *pinned*: it is in every optimum
 within the tolerance. Only the other, *flexible* pairs' rows are
 normalized, against the columns no pinned pair takes; a unique optimum
 costs one solve. When any cycle loss lies within 0.1% of the tolerance,
-where summation order could decide it, or the potentials do not settle,
-the whole problem is normalized instead (the fallback). The first solve
-also detects a mask with no full matching; only then is a Hall-violation
-witness built, from a Hopcroft-Karp maximum matching
+where summation order could decide it, the whole problem is normalized
+instead (the fallback). The same potentials are duals of the first
+solve, so a row tests only the columns whose reduced cost is at most
+twice the tolerance: any assignment through another cell loses more than
+1.5 times the tolerance, and its solve would reject it. Potentials that
+do not settle leave no duals and no pins: the whole problem is then
+normalized, testing every allowed column. The first solve also detects
+a mask with no full matching; only then is a Hall-violation witness
+built, from a Hopcroft-Karp maximum matching
 (``scipy.sparse.csgraph.maximum_bipartite_matching``). The greedy variant
 implements the classic heaviest-cell sweep with a 1/2-approximation
 guarantee for non-negative weights; a heap of each row's best free
@@ -167,11 +172,17 @@ def hungarian_max_weight(w: np.ndarray, allowed: np.ndarray | None = None) -> As
     # The exchange graph lives on the smaller side; a tall matrix is
     # handled as its transpose, with the columns as the pairs' owners.
     owners, taken = solved[::-1] if transposed else solved
-    loss = _cycle_losses(cost.T if transposed else cost, owners, taken, tol)
-    if loss is None or np.any(np.abs(loss - tol) <= _FALLBACK_BAND * tol):
-        pinned = np.zeros(len(owners), dtype=bool)
-    else:
-        pinned = loss > tol
+    settled = _cycle_losses(cost.T if transposed else cost, owners, taken, tol)
+    pinned = np.zeros(len(owners), dtype=bool)
+    duals = None
+    if settled is not None:
+        loss, u, v = settled
+        duals = (v, u) if transposed else (u, v)
+        if not np.any(np.abs(loss - tol) <= _FALLBACK_BAND * tol):
+            pinned = loss > tol
+    if pinned.all():
+        # the only assignment within the tolerance; its rows come sorted
+        return Assignment(pairs=tuple(zip(solved[0].tolist(), solved[1].tolist())), total_weight=optimum)
     pinned_rows, pinned_cols = solved[0][pinned], solved[1][pinned]
     pinned_weight = float(w[pinned_rows, pinned_cols].sum())
     pairs = list(zip(pinned_rows.tolist(), pinned_cols.tolist()))
@@ -179,13 +190,15 @@ def hungarian_max_weight(w: np.ndarray, allowed: np.ndarray | None = None) -> As
     # each flexible row's solved column as a position in cols, -1 if unmatched
     held = np.full(n1, -1)
     held[solved[0]] = np.searchsorted(cols, solved[1])
-    pairs += _normalise(cost, rows, cols, held[rows], optimum - pinned_weight, tol)
+    pairs += _normalise(cost, rows, cols, held[rows], optimum - pinned_weight, tol, duals)
     pairs.sort()
-    return Assignment(pairs=tuple(pairs), total_weight=float(w[tuple(zip(*pairs))].sum()) if pairs else 0.0)
+    return Assignment(pairs=tuple(pairs), total_weight=float(w[tuple(zip(*pairs))].sum()))
 
 
-def _cycle_losses(cost: np.ndarray, owners: np.ndarray, taken: np.ndarray, tol: float) -> np.ndarray | None:
-    """Weight lost by the cheapest exchange cycle through each pair of an optimum.
+def _cycle_losses(
+    cost: np.ndarray, owners: np.ndarray, taken: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Weight lost by the cheapest exchange cycle through each pair of an optimum, and its duals.
 
     ``cost`` has no more rows than columns and (``owners[p]``, ``taken[p]``)
     is a min-cost full assignment of its rows. Node p of the exchange graph
@@ -213,45 +226,72 @@ def _cycle_losses(cost: np.ndarray, owners: np.ndarray, taken: np.ndarray, tol: 
     settled after ``nodes + 1`` mean a cycle well below zero, which leaves
     no safe pinning: None is returned, and the caller normalises the whole
     problem.
+
+    The potentials are also duals of the solve: ``u[owners[p]] = held[p] -
+    d[p]``, ``v[taken[q]] = d[q]`` and ``v = d[pool]`` on the free columns
+    make ``cost - u[:, None] - v`` an edge's reduced cost on every cell,
+    at least ``-eta`` where allowed and 0 on the solved pairs. They are
+    returned as ``(loss, u, v)``.
     """
     held = cost[owners, taken]
+    # the diagonal is exactly 0: a pair keeping its own column
     graph = cost[:, taken][owners] - held[:, None]
     free = np.ones(cost.shape[1], dtype=bool)
     free[taken] = False
-    if free.any():
+    pooled = free.any()
+    if pooled:
         pool = cost[:, free][owners].min(axis=1) - held
         graph = np.vstack([np.column_stack([graph, pool]), np.zeros(len(held) + 1)])
-    np.fill_diagonal(graph, np.inf)
     nodes = len(graph)
     eta = tol / (4 * max(nodes, 1))
+    # with the zero diagonal, a column's minimum includes its own potential
+    buf = np.empty_like(graph)
     d = np.zeros(nodes)
     for _ in range(nodes + 1):
-        relaxed = np.minimum(d, (d[:, None] + graph).min(axis=0, initial=np.inf))
-        if not np.any(d - relaxed > eta):
+        relaxed = np.add(d[:, None], graph, out=buf).min(axis=0, initial=np.inf)
+        if not (d - relaxed > eta).any():
             break
         d = relaxed
     else:
         return None
-    tight = graph + d[:, None] - d[None, :] <= 2 * tol
+    np.add(graph, d[:, None], out=buf)
+    tight = np.subtract(buf, d[None, :], out=buf) <= 2 * tol
+    del buf
+    np.fill_diagonal(tight, False)
     live = np.ones(nodes, dtype=bool)
     while True:
         survivors = live & (live @ tight) & (tight @ live)
-        if np.array_equal(survivors, live):
+        if np.count_nonzero(survivors) == np.count_nonzero(live):
             break
         live = survivors
     keep = np.flatnonzero(live)
-    sub = np.where(tight, graph, np.inf)[:, keep][keep]
+    sub = graph[:, keep][keep]
+    del graph  # Floyd-Warshall needs only the survivors' block
+    sub[~tight[:, keep][keep]] = np.inf
     via = np.empty_like(sub)
     for k in range(len(sub)):
         np.add(sub[:, k, None], sub[k], out=via)
         np.minimum(sub, via, out=sub)
     loss = np.full(nodes, np.inf)
     loss[keep] = sub.diagonal()
-    return loss[: len(held)]
+    m = len(held)
+    u = np.empty(m)
+    u[owners] = held - d[:m]
+    v = np.empty(cost.shape[1])
+    v[taken] = d[:m]
+    if pooled:
+        v[free] = d[m]
+    return loss[:m], u, v
 
 
 def _normalise(
-    cost: np.ndarray, rows: np.ndarray, cols: np.ndarray, held: np.ndarray, optimum: float, tol: float
+    cost: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    held: np.ndarray,
+    optimum: float,
+    tol: float,
+    duals: tuple[np.ndarray, np.ndarray] | None,
 ) -> list[tuple[int, int]]:
     """Lexicographically smallest assignment of ``rows`` to ``cols`` within ``tol`` of ``optimum``.
 
@@ -262,9 +302,23 @@ def _normalise(
     by one solve on rows i+1.. and the free columns; the first that keeps
     the optimal total is taken and its solve becomes ``held``. Otherwise
     row i keeps its held column, or stays unmatched, without a solve.
+
+    ``duals`` are the full matrix's row and column duals ``(u, v)`` from
+    the first solve, or None. With them, a column is tested only if its
+    reduced cost ``cost[i, j] - u[i] - v[j]`` is at most ``2 * tol``:
+    reduced costs are at least ``-tol / (4 * nodes)`` on every allowed cell,
+    so any full assignment through a cell above that loses more than
+    ``1.5 * tol``, and its solve would reject it. The filter only skips
+    candidates; the solves still see every allowed cell.
     """
     cost = cost[:, cols][rows]
-    allowed = np.isfinite(cost)
+    if duals is None:
+        candidates = np.isfinite(cost)
+    else:
+        reduced = cost - duals[0][rows, None]
+        reduced -= duals[1][cols]
+        candidates = reduced <= 2 * tol
+        del reduced
     rows, cols = rows.tolist(), cols.tolist()
     pairs: list[tuple[int, int]] = []
     fixed_weight = 0.0
@@ -273,7 +327,7 @@ def _normalise(
     for i in range(len(rows)):
         h = int(held[i])
         below = len(cols) if h < 0 else h
-        for j in np.flatnonzero(allowed[i, :below] & free_cols[:below]).tolist():
+        for j in np.flatnonzero(candidates[i, :below] & free_cols[:below]).tolist():
             free_cols[j] = False
             sub = cost[i + 1 :, free_cols]
             need = target_size - len(pairs) - 1

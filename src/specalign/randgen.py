@@ -127,7 +127,10 @@ def power_law(n: int, m: int, n0: int, seed: int) -> Graph:
                 probs = pool / pool.sum()
             else:
                 probs = weights / weights.sum()
-            pick = int(rng.choice(t, p=probs))
+            # Generator.choice's own path for one weighted draw, without its argument checks
+            cdf = probs.cumsum()
+            cdf /= cdf[-1]
+            pick = int(cdf.searchsorted(rng.random(), side="right"))
             targets.append(pick)
             weights[pick] = 0.0
         for v in targets:

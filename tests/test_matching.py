@@ -208,11 +208,17 @@ class TestCycleLosses:
     @settings(max_examples=150)
     def test_pins_what_dense_floyd_warshall_pins(self, orientation, data):
         cost, owners, taken, tol = data.draw(exchange_graphs(orientation))
-        got = _cycle_losses(cost, owners, taken, tol)
-        assert got is not None  # an optimum has no cycle below float noise
+        settled = _cycle_losses(cost, owners, taken, tol)
+        assert settled is not None  # an optimum has no cycle below float noise
+        loss, u, v = settled
+        got = pins(loss, tol)
         want = pins(dense_cycle_losses(cost, owners, taken), tol)
-        if want is not None and pins(got, tol) is not None:
-            assert pins(got, tol).tolist() == want.tolist()
+        if want is not None and got is not None:
+            assert got.tolist() == want.tolist()
+        # the duals: reduced costs at least -eta where allowed, about 0 on the solved pairs
+        reduced = cost - u[:, None] - v
+        assert (reduced[np.isfinite(cost)] >= -tol / (4 * len(owners))).all()
+        assert (np.abs(reduced[owners, taken]) <= 1e-12).all()
 
     def test_negative_cycle_does_not_settle(self):
         # both rows would gain by swapping columns: not an optimum
@@ -349,12 +355,58 @@ def normalised_rows(monkeypatch):
     seen = []
     normalise = specalign.matching._normalise
 
-    def spy(cost, rows, cols, held, optimum, tol):
+    def spy(cost, rows, cols, held, optimum, tol, duals):
         seen.append(rows.tolist())
-        return normalise(cost, rows, cols, held, optimum, tol)
+        return normalise(cost, rows, cols, held, optimum, tol, duals)
 
     monkeypatch.setattr(specalign.matching, "_normalise", spy)
     return seen
+
+
+def solve_counting_laps(w, allowed=None, filtered=True):
+    """The matcher's assignment and its LAP solves, with the reduced-cost filter on or off."""
+    calls = []
+    lap = specalign.matching.linear_sum_assignment
+    normalise = specalign.matching._normalise
+
+    def counting(cost):
+        calls.append(cost.shape)
+        return lap(cost)
+
+    def unfiltered(cost, rows, cols, held, optimum, tol, duals):
+        return normalise(cost, rows, cols, held, optimum, tol, None)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(specalign.matching, "linear_sum_assignment", counting)
+        if not filtered:
+            mp.setattr(specalign.matching, "_normalise", unfiltered)
+        return hungarian_max_weight(w, allowed), len(calls)
+
+
+class TestReducedCostFilter:
+    """Skipping candidates by the first solve's duals never changes the assignment."""
+
+    @pytest.mark.parametrize("orientation", ["wide", "square", "tall"])
+    @given(data=st.data())
+    @settings(max_examples=150)
+    def test_same_assignment_with_fewer_solves(self, orientation, data):
+        w, allowed = data.draw(tied_instances(orientation))
+        got, filtered_laps = solve_counting_laps(w, allowed)
+        want, laps = solve_counting_laps(w, allowed, filtered=False)
+        assert got.pairs == want.pairs
+        assert got.total_weight == want.total_weight
+        assert filtered_laps <= laps
+
+    def test_tall_problem_filters_on_transposed_duals(self):
+        # Row 0 is left unmatched, so it tests every free column; any
+        # assignment through it loses 0.5, and the duals of the transposed
+        # solve skip both of its candidates. Rows 1 and 2 tie; row 3 is pinned.
+        w = np.array([[0.5, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
+        got, filtered_laps = solve_counting_laps(w)
+        want, laps = solve_counting_laps(w, filtered=False)
+        assert got.pairs == want.pairs == ((1, 0), (2, 1), (3, 2))
+        assert got.total_weight == want.total_weight == oracle_max_weight(w).total_weight
+        assert (filtered_laps, laps) == (1, 3)
 
 
 class TestTieBreakAgainstOracle:

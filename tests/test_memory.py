@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from specalign.align import eigen_align
-from specalign.matching import greedy_matching
+from specalign.matching import greedy_matching, hungarian_max_weight
 from specalign.metrics import generalized_objective
 from specalign.randgen import erdos_renyi, random_permutation, sample_mapping_set
 from specalign.score import build_alignment_matrix, from_alpha
@@ -35,6 +35,29 @@ def test_matrix_free_eigen_align_holds_four_blocks(n1, n2, budget):
     g1, g2 = erdos_renyi(n1, 0.05, 0), erdos_renyi(n2, 0.05, 1)
     peak = traced_peak(eigen_align, g1, g2, from_alpha(4, 0.001), matching="greedy")
     assert peak / (8 * n1 * n2) <= budget
+
+
+def test_restricted_eigen_align_drops_its_matrix_before_matching():
+    # the dense matrix and its edge code set the peak; the matching step
+    # runs on n1 x n2 blocks after the matrix is gone
+    n = 300
+    g1, g2 = erdos_renyi(n, 0.05, 0), erdos_renyi(n, 0.05, 1)
+    mapping_set = sample_mapping_set(n, random_permutation(n, 2), 4, 3)
+    peak = traced_peak(eigen_align, g1, g2, from_alpha(4, 0.001), mapping_set)
+    assert peak / (8 * len(mapping_set) ** 2) <= 1.2
+
+
+@pytest.mark.parametrize("weights, masked, budget", [("random", True, 4.12), ("random", False, 4.24), ("tied", False, 4.46)])
+def test_exact_matching_blocks(weights, masked, budget):
+    # the cost matrix and the exchange graph, with a work buffer for its
+    # potentials or, where a tie keeps every node, Floyd-Warshall's blocks;
+    # later the flexible rows' costs and reduced costs
+    n = 300
+    w = np.random.default_rng(0).random((n, n))
+    if weights == "tied":
+        w = np.round(w * 4) / 4
+    allowed = sample_mapping_set(n, random_permutation(n, 2), 4, 3).mask() if masked else None
+    assert traced_peak(hungarian_max_weight, w, allowed) / (8 * n * n) <= budget
 
 
 def test_dense_alignment_matrix_holds_one_block():

@@ -35,6 +35,34 @@ def sequential_random_regular(n, d, seed, max_attempts):
     return None
 
 
+def choice_power_law(n, m, n0, seed):
+    """The attachment loop that draws each target with ``rng.choice``; returns the adjacency."""
+    rng = np.random.default_rng(seed)
+    adj = np.zeros((n, n), dtype=np.int8)
+    seed_block = randgen._symmetric_bernoulli(n0, randgen.POWER_LAW_SEED_DENSITY, rng)
+    adj[:n0, :n0] = seed_block
+    degrees = np.zeros(n, dtype=np.float64)
+    degrees[:n0] = seed_block.sum(axis=1)
+    for t in range(n0, n):
+        weights = degrees[:t].copy()
+        targets = []
+        for _ in range(m):
+            if weights.sum() <= 0:
+                pool = np.ones(t)
+                pool[targets] = 0.0
+                probs = pool / pool.sum()
+            else:
+                probs = weights / weights.sum()
+            pick = int(rng.choice(t, p=probs))
+            targets.append(pick)
+            weights[pick] = 0.0
+        for v in targets:
+            adj[t, v] = adj[v, t] = 1
+            degrees[v] += 1
+        degrees[t] = m
+    return adj
+
+
 def binomial_bounds(n_trials, p, sigmas=4.0):
     mean = n_trials * p
     sd = np.sqrt(n_trials * p * (1 - p))
@@ -165,6 +193,13 @@ class TestPowerLaw:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             power_law(10, 6, 5, 0)  # m > n0
+
+    # n0 = 1 starts edgeless, so its first targets come from the uniform
+    # zero-degree branch; n0 = 2 often does too
+    @pytest.mark.parametrize("n, m, n0", [(50, 3, 5), (30, 2, 2), (80, 4, 4), (12, 1, 1)])
+    def test_matches_choice_loop(self, n, m, n0):
+        for seed in range(40):
+            assert np.array_equal(power_law(n, m, n0, seed).adjacency, choice_power_law(n, m, n0, seed))
 
 
 class TestNoiseModels:
