@@ -125,6 +125,8 @@ def eigen_align(
     else:
         if mapping_set.n1 != n1 or mapping_set.n2 != n2:
             raise ValueError("mapping set sizes do not match the graphs")
+        if not len(mapping_set):
+            raise ValueError("mapping set is empty: no pair to align")
         a_dense = build_alignment_matrix(g1, g2, s, mapping_set)
         _, vec = leading_eigenvector(a_dense, len(mapping_set), seed=seed)
         del a_dense  # |R|^2 floats that the matching step must not hold

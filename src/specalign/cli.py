@@ -75,6 +75,14 @@ def generate_er(n, p, seed, out):
     _single_graph_command("er", {"n": n, "p": p}, seed, out)
 
 
+def _parse_list(text: str, convert, option: str) -> list:
+    """A comma-separated option value as a list of numbers; a bad entry is a usage error."""
+    try:
+        return [convert(item) for item in text.split(",")]
+    except ValueError:
+        raise click.UsageError(f"{option} must list comma-separated {convert.__name__} values, got {text!r}")
+
+
 @generate.command("sbm")
 @click.option("--sizes", type=str, required=True, help="Comma-separated block sizes, e.g. 25,25.")
 @click.option("--within", type=str, required=True, help="Comma-separated within-block densities.")
@@ -83,8 +91,8 @@ def generate_er(n, p, seed, out):
 @click.option("--out", type=str, default="sbm", show_default=True)
 def generate_sbm(sizes, within, cross, seed, out):
     """Stochastic block model graph."""
-    block_sizes = [int(s) for s in sizes.split(",")]
-    within_densities = [float(x) for x in within.split(",")]
+    block_sizes = _parse_list(sizes, int, "--sizes")
+    within_densities = _parse_list(within, float, "--within")
     if len(within_densities) != len(block_sizes):
         raise click.UsageError("--within must list one density per block")
     density = np.full((len(block_sizes), len(block_sizes)), cross)

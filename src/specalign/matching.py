@@ -6,27 +6,23 @@ returned assignment to the lexicographically smallest optimum, so
 equal-weight ties resolve deterministically to the lowest (i, then j').
 The normalization carries a *held* assignment within the tolerance, at
 first the solved one: row i keeps its held column without a solve, unless
-a free column below it passes one more solve on the rows after i and the
-columns still free, whose solution is then held.
-Every near-optimal assignment differs from the solved one by
-exchange cycles (Klein's cycle-cancelling condition), so the exchange
-graph on the smaller side, with a pool node for the columns nobody takes,
-gives each pair its cheapest cycle. That search is pruned by reduced
+a candidate column below it passes one more solve on the rows after i and
+the columns still free, whose solution is then held.
+Every near-optimal assignment differs from the solved one by exchange
+cycles (the alternating-cycle optimality condition; Burkard, Dell'Amico
+and Martello, *Assignment Problems*, 2009), so one rule prunes the
+normalization: a cell is a *candidate* when the cheapest exchange cycle
+through it loses at most the tie tolerance, plus a 0.1% margin where
+summation order could decide. Only candidates are tested. A solved pair
+whose own cell is no candidate is *pinned*: it is in every optimum within
+the tolerance, and only the other, *flexible* pairs' rows are normalized,
+against the columns no pinned pair takes; a unique optimum costs one
+solve. The cycles are searched on the exchange graph of the smaller
+side, with a pool node for the columns nobody takes, pruned by reduced
 costs (Johnson's reweighting): Bellman-Ford potentials make every edge
-cost non-negative up to a sliver, an edge whose reduced cost exceeds twice
-the tie tolerance lies on no cycle cheap enough to matter, nodes left
-without such tight edges in and out are trimmed, and Floyd-Warshall runs
-on the tight edges of the few nodes that remain. A pair whose cycle
-loses more than the tie tolerance is *pinned*: it is in every optimum
-within the tolerance. Only the other, *flexible* pairs' rows are
-normalized, against the columns no pinned pair takes; a unique optimum
-costs one solve. When any cycle loss lies within 0.1% of the tolerance,
-where summation order could decide it, the whole problem is normalized
-instead (the fallback). The same potentials are duals of the first
-solve, so a row tests only the columns whose reduced cost is at most
-twice the tolerance: any assignment through another cell loses more than
-1.5 times the tolerance, and its solve would reject it. Potentials that
-do not settle leave no duals and no pins: the whole problem is then
+cost non-negative up to a sliver, nodes without tight edges in and out
+are trimmed, and Floyd-Warshall runs on the few nodes that remain.
+Potentials that do not settle prune nothing: every row is then
 normalized, testing every allowed column. The first solve also detects
 a mask with no full matching; only then is a Hall-violation witness
 built, from a Hopcroft-Karp maximum matching
@@ -56,9 +52,10 @@ __all__ = [
 ]
 
 _TIE_TOL = 1e-9
-# A pair whose cycle loss lies this close to the tolerance, relative to it,
-# could flip under summation-order noise: normalise the whole problem.
-_FALLBACK_BAND = 1e-3
+# A cycle that loses at most this much more than the tolerance, relative to
+# it, could be a tie under another summation order: its cells stay
+# candidates, and the completion solves judge them at the tolerance.
+_LOSS_MARGIN = 1e-3
 
 
 class InfeasibleMatchingError(ValueError):
@@ -172,14 +169,12 @@ def hungarian_max_weight(w: np.ndarray, allowed: np.ndarray | None = None) -> As
     # The exchange graph lives on the smaller side; a tall matrix is
     # handled as its transpose, with the columns as the pairs' owners.
     owners, taken = solved[::-1] if transposed else solved
-    settled = _cycle_losses(cost.T if transposed else cost, owners, taken, tol)
-    pinned = np.zeros(len(owners), dtype=bool)
-    duals = None
-    if settled is not None:
-        loss, u, v = settled
-        duals = (v, u) if transposed else (u, v)
-        if not np.any(np.abs(loss - tol) <= _FALLBACK_BAND * tol):
-            pinned = loss > tol
+    candidates = _cycle_losses(cost.T if transposed else cost, owners, taken, tol)
+    if candidates is None:
+        candidates = allowed
+    elif transposed:
+        candidates = candidates.T
+    pinned = ~candidates[solved]
     if pinned.all():
         # the only assignment within the tolerance; its rows come sorted
         return Assignment(pairs=tuple(zip(solved[0].tolist(), solved[1].tolist())), total_weight=optimum)
@@ -190,15 +185,15 @@ def hungarian_max_weight(w: np.ndarray, allowed: np.ndarray | None = None) -> As
     # each flexible row's solved column as a position in cols, -1 if unmatched
     held = np.full(n1, -1)
     held[solved[0]] = np.searchsorted(cols, solved[1])
-    pairs += _normalise(cost, rows, cols, held[rows], optimum - pinned_weight, tol, duals)
+    # the full blocks are dropped: the normalisation holds only its own
+    cost, candidates = cost[:, cols][rows], candidates[:, cols][rows]
+    pairs += _normalise(cost, candidates, rows, cols, held[rows], optimum - pinned_weight, tol)
     pairs.sort()
     return Assignment(pairs=tuple(pairs), total_weight=float(w[tuple(zip(*pairs))].sum()))
 
 
-def _cycle_losses(
-    cost: np.ndarray, owners: np.ndarray, taken: np.ndarray, tol: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Weight lost by the cheapest exchange cycle through each pair of an optimum, and its duals.
+def _cycle_losses(cost: np.ndarray, owners: np.ndarray, taken: np.ndarray, tol: float) -> np.ndarray | None:
+    """The cells of ``cost`` on an exchange cycle that loses at most ``tol``, or None.
 
     ``cost`` has no more rows than columns and (``owners[p]``, ``taken[p]``)
     is a min-cost full assignment of its rows. Node p of the exchange graph
@@ -207,39 +202,38 @@ def _cycle_losses(
     no row takes: p -> pool takes row p's best such column, and pool -> q
     releases ``taken[q]`` at no cost. Any other assignment differs from
     the optimum by exchange cycles, each passing the pool at most once and
-    none gaining weight, so an assignment within a tolerance of the optimum
-    keeps every pair whose cheapest cycle loses more than that tolerance.
+    none gaining weight, so every cell of an assignment within ``tol`` of
+    the optimum lies on a cycle that loses at most ``tol``.
 
-    Only losses near ``tol`` decide anything, so the search is pruned by
+    The returned boolean mask marks the *candidates*: the cell of row
+    ``owners[p]`` and column ``taken[q]`` is one when ``graph[p, q] +
+    dist(q -> p)``, the cheapest cycle through it, is at most ``tol * (1 +
+    _LOSS_MARGIN)``; a free column's node is the pool. A held cell's value
+    is the cheapest cycle through its pair, so a solved cell that is no
+    candidate is in every assignment within ``tol``.
+
+    Only cycles near ``tol`` decide anything, so the search is pruned by
     reduced costs (Johnson's reweighting). Dense Bellman-Ford passes from
     zero give potentials ``d`` under which every reduced cost
     ``graph[p, q] + d[p] - d[q]`` is at least ``-eta``, with
     ``eta = tol / (4 * nodes)``. A cycle weighs the sum of its reduced
     costs, so one through an edge of reduced cost above ``2 * tol`` loses
-    more than ``1.75 * tol`` and cannot unpin a pair. Nodes without a
+    more than ``1.75 * tol`` and holds no candidate. Nodes without a
     tight in-edge or out-edge among the live nodes lie on no cheap cycle
     and are trimmed; Floyd-Warshall runs on the survivors' tight edges,
-    and every other pair's loss reads +inf. The Bellman-Ford passes stop
-    once no potential drops by more than ``eta``, and Floyd-Warshall makes
-    a fixed number of passes, so float-noise cycles of slightly negative
-    weight cannot keep either from terminating. Passes that have not
-    settled after ``nodes + 1`` mean a cycle well below zero, which leaves
-    no safe pinning: None is returned, and the caller normalises the whole
-    problem.
-
-    The potentials are also duals of the solve: ``u[owners[p]] = held[p] -
-    d[p]``, ``v[taken[q]] = d[q]`` and ``v = d[pool]`` on the free columns
-    make ``cost - u[:, None] - v`` an edge's reduced cost on every cell,
-    at least ``-eta`` where allowed and 0 on the solved pairs. They are
-    returned as ``(loss, u, v)``.
+    and no cell whose cycle passes another node is a candidate. The
+    Bellman-Ford passes stop once no potential drops by more than ``eta``,
+    and Floyd-Warshall makes a fixed number of passes, so float-noise
+    cycles of slightly negative weight cannot keep either from
+    terminating. Passes that have not settled after ``nodes + 1`` mean a
+    cycle well below zero, which leaves no safe pruning: None is returned.
     """
     held = cost[owners, taken]
     # the diagonal is exactly 0: a pair keeping its own column
     graph = cost[:, taken][owners] - held[:, None]
     free = np.ones(cost.shape[1], dtype=bool)
     free[taken] = False
-    pooled = free.any()
-    if pooled:
+    if free.any():
         pool = cost[:, free][owners].min(axis=1) - held
         graph = np.vstack([np.column_stack([graph, pool]), np.zeros(len(held) + 1)])
     nodes = len(graph)
@@ -265,60 +259,59 @@ def _cycle_losses(
             break
         live = survivors
     keep = np.flatnonzero(live)
-    sub = graph[:, keep][keep]
+    if not len(keep):
+        return np.zeros(cost.shape, dtype=bool)
+    dist = graph[np.ix_(keep, keep)]
     del graph  # Floyd-Warshall needs only the survivors' block
-    sub[~tight[:, keep][keep]] = np.inf
-    via = np.empty_like(sub)
-    for k in range(len(sub)):
-        np.add(sub[:, k, None], sub[k], out=via)
-        np.minimum(sub, via, out=sub)
-    loss = np.full(nodes, np.inf)
-    loss[keep] = sub.diagonal()
-    m = len(held)
-    u = np.empty(m)
-    u[owners] = held - d[:m]
-    v = np.empty(cost.shape[1])
-    v[taken] = d[:m]
-    if pooled:
-        v[free] = d[m]
-    return loss[:m], u, v
+    dist[~tight[:, keep][keep]] = np.inf
+    del tight
+    via = np.empty_like(dist)
+    for k in range(len(dist)):
+        np.add(dist[:, k, None], dist[k], out=via)
+        np.minimum(dist, via, out=dist)
+    del via
+    candidates = np.zeros(cost.shape, dtype=bool)
+    # keep is sorted, so the pool node, if it survived, comes last
+    pairs = keep[keep < len(held)]
+    kept = len(pairs)
+    # each column block with its nodes' cheapest paths back to the pairs
+    blocks = [(taken[pairs], dist[:kept, :kept].T)]
+    if kept < len(keep):
+        blocks.append((np.flatnonzero(free), dist[-1, :kept, None]))
+    for cols, back in blocks:
+        # a cell's cheapest cycle: its edge graph[p, q], then back from q to p
+        cells = np.ix_(owners[pairs], cols)
+        lost = cost[cells]
+        lost -= held[pairs, None]
+        lost += back
+        candidates[cells] = lost <= tol * (1 + _LOSS_MARGIN)
+    return candidates
 
 
 def _normalise(
     cost: np.ndarray,
+    candidates: np.ndarray,
     rows: np.ndarray,
     cols: np.ndarray,
     held: np.ndarray,
     optimum: float,
     tol: float,
-    duals: tuple[np.ndarray, np.ndarray] | None,
 ) -> list[tuple[int, int]]:
     """Lexicographically smallest assignment of ``rows`` to ``cols`` within ``tol`` of ``optimum``.
 
-    Works on the submatrix ``cost[rows, cols]`` and returns the pairs in
-    the full matrix's indices. ``held`` (updated in place) is an assignment
-    within ``tol``: each row's position in ``cols``, -1 if unmatched. Row i
-    tests only the free columns below its held one, all of them if -1, each
-    by one solve on rows i+1.. and the free columns; the first that keeps
-    the optimal total is taken and its solve becomes ``held``. Otherwise
-    row i keeps its held column, or stays unmatched, without a solve.
+    ``cost`` and ``candidates`` are the full matrices' blocks of ``rows``
+    and ``cols``; the pairs come back in the full indices. ``held``
+    (updated in place) is an assignment within ``tol``: each row's
+    position in ``cols``, -1 if unmatched. Row i tests only the free
+    candidate columns below its held one, each by one solve on rows i+1..
+    and the free columns; the first that keeps the optimal total is taken
+    and its solve becomes ``held``. Otherwise row i keeps its held column,
+    or stays unmatched, without a solve.
 
-    ``duals`` are the full matrix's row and column duals ``(u, v)`` from
-    the first solve, or None. With them, a column is tested only if its
-    reduced cost ``cost[i, j] - u[i] - v[j]`` is at most ``2 * tol``:
-    reduced costs are at least ``-tol / (4 * nodes)`` on every allowed cell,
-    so any full assignment through a cell above that loses more than
-    ``1.5 * tol``, and its solve would reject it. The filter only skips
-    candidates; the solves still see every allowed cell.
+    ``candidates`` covers every cell of every assignment within ``tol`` on
+    these rows; it may be the allowed mask itself. It only skips tests:
+    the solves still see every allowed cell.
     """
-    cost = cost[:, cols][rows]
-    if duals is None:
-        candidates = np.isfinite(cost)
-    else:
-        reduced = cost - duals[0][rows, None]
-        reduced -= duals[1][cols]
-        candidates = reduced <= 2 * tol
-        del reduced
     rows, cols = rows.tolist(), cols.tolist()
     pairs: list[tuple[int, int]] = []
     fixed_weight = 0.0

@@ -90,6 +90,19 @@ class TestGenerate:
         assert code == 0
         assert load_edge_list((tmp_path / "b.el").read_text()).n == 16
 
+    @pytest.mark.parametrize(
+        "sizes, within, option, bad",
+        [("25,x", "0.1,0.2", "--sizes", "25,x"), ("25,25", "0.1,y", "--within", "0.1,y")],
+    )
+    def test_sbm_malformed_numbers_usage_error(self, tmp_path, capsys, sizes, within, option, bad):
+        code, _, err = run_main(
+            ["generate", "sbm", "--sizes", sizes, "--within", within, "--cross", "0.1", "--out", str(tmp_path / "b")],
+            capsys,
+        )
+        assert code == 1
+        assert option in err and bad in err
+        assert "invalid literal" not in err
+
     def test_invalid_params_nonzero_exit(self, tmp_path, capsys):
         code, _, err = run_main(
             ["generate", "regular", "--n", "5", "--d", "3", "--out", str(tmp_path / "x")], capsys
@@ -222,6 +235,17 @@ class TestAlign:
         )
         assert code == 2
         assert "line 3" in err
+
+    def test_empty_restrict_file_names_the_mapping_set(self, pair, capsys):
+        r_file = pair / "allowed.txt"
+        r_file.write_text("# no allowed pairs\n\n")
+        code, _, err = run_main(
+            ["align", "ea", str(pair / "pair_g1.el"), str(pair / "pair_g2.el"), "--alpha", "10", "--restrict", str(r_file)],
+            capsys,
+        )
+        assert code == 2
+        assert "mapping set is empty" in err
+        assert "argmax" not in err
 
 
 class TestSweep:

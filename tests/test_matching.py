@@ -12,7 +12,7 @@ from matching_oracle import greedy_matching as oracle_greedy
 from matching_oracle import hungarian_max_weight as oracle_max_weight
 from scipy.optimize import linear_sum_assignment
 from specalign.matching import (
-    _FALLBACK_BAND,
+    _LOSS_MARGIN,
     _TIE_TOL,
     Assignment,
     InfeasibleMatchingError,
@@ -193,13 +193,6 @@ def full_assignments(w, allowed):
     return out
 
 
-def pins(loss, tol):
-    """The matcher's rule: the pinned pairs, or None where it normalises the whole problem."""
-    if loss is None or np.any(np.abs(loss - tol) <= _FALLBACK_BAND * tol):
-        return None
-    return loss > tol
-
-
 class TestCycleLosses:
     """The pruned cycle search against the verbatim dense Floyd-Warshall."""
 
@@ -207,18 +200,13 @@ class TestCycleLosses:
     @given(data=st.data())
     @settings(max_examples=150)
     def test_pins_what_dense_floyd_warshall_pins(self, orientation, data):
+        # a solved pair is pinned when its own cell is no candidate
         cost, owners, taken, tol = data.draw(exchange_graphs(orientation))
-        settled = _cycle_losses(cost, owners, taken, tol)
-        assert settled is not None  # an optimum has no cycle below float noise
-        loss, u, v = settled
-        got = pins(loss, tol)
-        want = pins(dense_cycle_losses(cost, owners, taken), tol)
-        if want is not None and got is not None:
-            assert got.tolist() == want.tolist()
-        # the duals: reduced costs at least -eta where allowed, about 0 on the solved pairs
-        reduced = cost - u[:, None] - v
-        assert (reduced[np.isfinite(cost)] >= -tol / (4 * len(owners))).all()
-        assert (np.abs(reduced[owners, taken]) <= 1e-12).all()
+        candidates = _cycle_losses(cost, owners, taken, tol)
+        assert candidates is not None  # an optimum has no cycle below float noise
+        want = dense_cycle_losses(cost, owners, taken) > tol * (1 + _LOSS_MARGIN)
+        assert (~candidates[owners, taken]).tolist() == want.tolist()
+        assert not (candidates & np.isinf(cost)).any()
 
     def test_negative_cycle_does_not_settle(self):
         # both rows would gain by swapping columns: not an optimum
@@ -239,6 +227,44 @@ class TestCycleLosses:
         a = hungarian_max_weight(w)
         assert seen == [[0, 1, 2]]
         assert a.pairs == ((0, 0), (1, 1), (2, 2))
+
+
+class TestCandidates:
+    """The one pruning rule against enumeration of every near-optimal assignment."""
+
+    @pytest.mark.parametrize("orientation", ["wide", "square", "tall"])
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_near_optima_use_only_candidates(self, orientation, data):
+        # Every cell of every assignment within the tolerance is a candidate
+        # or a solved cell, a solved cell that is no candidate is in all of
+        # them, and every candidate lies on an assignment within the margin.
+        w, allowed = data.draw(
+            st.one_of(tied_instances(orientation), near_ties(orientation, 1.0), near_ties(orientation, 1e-3))
+        )
+        mask = np.ones(w.shape, dtype=bool) if allowed is None else allowed
+        cost = np.where(mask, -w, np.inf)
+        solved = linear_sum_assignment(cost)
+        tol = _TIE_TOL * max(1.0, abs(float(w[solved].sum())))
+        if orientation == "tall":  # the matcher's frame: no more rows than columns
+            w, mask, cost, solved = w.T, mask.T, cost.T, solved[::-1]
+        candidates = _cycle_losses(cost, *solved, tol)
+        rows = np.arange(len(w))
+        every = np.array(list(itertools.permutations(range(w.shape[1]), len(w))))
+        every = every[mask[rows, every].all(axis=1)]
+        loss = w[rows, every].sum(axis=1)
+        loss = loss.max() - loss
+        near = every[loss <= tol]
+        is_solved = np.zeros(w.shape, dtype=bool)
+        is_solved[solved] = True
+        used = np.zeros(w.shape, dtype=bool)
+        used[rows, near] = True
+        assert not (used & ~candidates & ~is_solved).any()
+        for i, j in zip(*np.nonzero(is_solved & ~candidates)):
+            assert (near[:, i] == j).all()
+        reached = np.zeros(w.shape, dtype=bool)
+        reached[rows, every[loss <= tol * (1 + _LOSS_MARGIN)]] = True
+        assert not (candidates & ~reached).any()
 
 
 class TestHungarian:
@@ -355,36 +381,36 @@ def normalised_rows(monkeypatch):
     seen = []
     normalise = specalign.matching._normalise
 
-    def spy(cost, rows, cols, held, optimum, tol, duals):
+    def spy(cost, candidates, rows, cols, held, optimum, tol):
         seen.append(rows.tolist())
-        return normalise(cost, rows, cols, held, optimum, tol, duals)
+        return normalise(cost, candidates, rows, cols, held, optimum, tol)
 
     monkeypatch.setattr(specalign.matching, "_normalise", spy)
     return seen
 
 
 def solve_counting_laps(w, allowed=None, filtered=True):
-    """The matcher's assignment and its LAP solves, with the reduced-cost filter on or off."""
+    """The matcher's assignment and its LAP solves, with the cycle-loss pruning on or off.
+
+    Off, ``_cycle_losses`` returns None, as when its potentials do not
+    settle: nothing is pinned, and every allowed cell is tested.
+    """
     calls = []
     lap = specalign.matching.linear_sum_assignment
-    normalise = specalign.matching._normalise
 
     def counting(cost):
         calls.append(cost.shape)
         return lap(cost)
 
-    def unfiltered(cost, rows, cols, held, optimum, tol, duals):
-        return normalise(cost, rows, cols, held, optimum, tol, None)
-
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(specalign.matching, "linear_sum_assignment", counting)
         if not filtered:
-            mp.setattr(specalign.matching, "_normalise", unfiltered)
+            mp.setattr(specalign.matching, "_cycle_losses", lambda cost, owners, taken, tol: None)
         return hungarian_max_weight(w, allowed), len(calls)
 
 
 class TestReducedCostFilter:
-    """Skipping candidates by the first solve's duals never changes the assignment."""
+    """Pruning by cycle losses, which are sums of reduced costs, never changes the assignment."""
 
     @pytest.mark.parametrize("orientation", ["wide", "square", "tall"])
     @given(data=st.data())
@@ -397,16 +423,16 @@ class TestReducedCostFilter:
         assert got.total_weight == want.total_weight
         assert filtered_laps <= laps
 
-    def test_tall_problem_filters_on_transposed_duals(self):
-        # Row 0 is left unmatched, so it tests every free column; any
-        # assignment through it loses 0.5, and the duals of the transposed
-        # solve skip both of its candidates. Rows 1 and 2 tie; row 3 is pinned.
+    def test_tall_problem_prunes_the_unmatched_row(self):
+        # Row 0 is left unmatched, so unpruned it tests every column; any
+        # assignment through it loses 0.5, so the transposed mask gives it
+        # no candidate. Rows 1 and 2 tie; row 3 is pinned.
         w = np.array([[0.5, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
         got, filtered_laps = solve_counting_laps(w)
         want, laps = solve_counting_laps(w, filtered=False)
         assert got.pairs == want.pairs == ((1, 0), (2, 1), (3, 2))
         assert got.total_weight == want.total_weight == oracle_max_weight(w).total_weight
-        assert (filtered_laps, laps) == (1, 3)
+        assert (filtered_laps, laps) == (1, 4)
 
 
 class TestTieBreakAgainstOracle:
@@ -429,13 +455,18 @@ class TestTieBreakAgainstOracle:
             [[1.0, 1.0 - 1e-9], [0.0, 0.0]],
             # the same near-tie beside a row no exchange can move (tol = 6e-9)
             [[1.0, 1.0 - 6e-9, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 5.0]],
+            # the solve takes the anti-diagonal, so row 0 tests the near-tie
+            # below it, and takes it: the result weighs less than the optimum
+            [[1.0 - 1e-9, 1.0], [0.0, 0.0]],
         ],
     )
-    def test_loss_at_the_tolerance_normalises_every_row(self, monkeypatch, w):
+    def test_loss_at_the_tolerance_is_flexible(self, monkeypatch, w):
+        # the pairs whose cycle loses exactly the tolerance are normalised;
+        # the row no exchange can move stays pinned
         w = np.array(w)
         seen = normalised_rows(monkeypatch)
         got = hungarian_max_weight(w)
-        assert seen == [list(range(len(w)))]
+        assert seen == [[0, 1]]
         want = oracle_max_weight(w)
         assert (got.pairs, got.total_weight) == (want.pairs, want.total_weight)
 

@@ -50,8 +50,9 @@ def test_restricted_eigen_align_drops_its_matrix_before_matching():
 @pytest.mark.parametrize("weights, masked, budget", [("random", True, 4.12), ("random", False, 4.24), ("tied", False, 4.46)])
 def test_exact_matching_blocks(weights, masked, budget):
     # the cost matrix and the exchange graph, with a work buffer for its
-    # potentials or, where a tie keeps every node, Floyd-Warshall's blocks;
-    # later the flexible rows' costs and reduced costs
+    # potentials or, where a tie keeps every node, Floyd-Warshall's blocks
+    # and the candidate cells' cycle losses; later only the flexible rows'
+    # costs and candidate mask, with the completion solves' blocks
     n = 300
     w = np.random.default_rng(0).random((n, n))
     if weights == "tied":
