@@ -123,16 +123,13 @@ def eigen_align(
         weights = vec.reshape((n1, n2), order="F")
         allowed = None
     else:
-        if mapping_set.n1 != n1 or mapping_set.n2 != n2:
-            raise ValueError("mapping set sizes do not match the graphs")
         if not len(mapping_set):
             raise ValueError("mapping set is empty: no pair to align")
         a_dense = build_alignment_matrix(g1, g2, s, mapping_set)
         _, vec = leading_eigenvector(a_dense, len(mapping_set), seed=seed)
         del a_dense  # |R|^2 floats that the matching step must not hold
         weights = np.zeros((n1, n2))
-        rows, cols = mapping_set.rows_cols()
-        weights[rows, cols] = vec
+        weights[mapping_set.rows, mapping_set.cols] = vec
         allowed = mapping_set.mask()
 
     if matching == "exact":
@@ -242,12 +239,9 @@ def _exact_rounding(affinity: np.ndarray, n1: int, n2: int) -> Assignment:
     if np.abs(padded - line).max() > 1e-12 * np.abs(affinity).max():
         return hungarian_max_weight(affinity)
     real = hungarian_max_weight(affinity[:n1, :n2] - line)
-    n = len(affinity)
-    rows_left = np.ones(n, dtype=bool)
-    cols_left = np.ones(n, dtype=bool)
-    for i, j in real.pairs:
-        rows_left[i] = cols_left[j] = False
-    pairs = sorted(real.pairs + tuple(zip(np.flatnonzero(rows_left).tolist(), np.flatnonzero(cols_left).tolist())))
+    taken = np.array(real.pairs, dtype=np.int64).reshape(-1, 2).T
+    rows_left, cols_left = (np.delete(np.arange(len(affinity)), used).tolist() for used in taken)
+    pairs = sorted(real.pairs + tuple(zip(rows_left, cols_left)))
     return Assignment(pairs=tuple(pairs), total_weight=float(affinity[tuple(zip(*pairs))].sum()))
 
 

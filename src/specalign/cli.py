@@ -228,7 +228,8 @@ def align_ea(g1_path, g2_path, alpha, eps, s1, s2, s3, matching, restrict, seed,
         raise click.UsageError("provide --alpha or all of --s1/--s2/--s3")
     mapping_set = None
     if restrict is not None:
-        mapping_set = MappingSet(n1=g1.n, n2=g2.n, pairs=tuple(sorted(set(_read_pairs(restrict)))))
+        pairs = np.array(sorted(set(_read_pairs(restrict)))).reshape(-1, 2)
+        mapping_set = MappingSet(g1.n, g2.n, rows=pairs[:, 0], cols=pairs[:, 1])
     if dump_alignment:
         dense_set = MappingSet.full(g1.n, g2.n) if mapping_set is None else mapping_set
         a = build_alignment_matrix(g1, g2, scheme, dense_set)
@@ -290,7 +291,7 @@ def eval_cmd(g1_path, g2_path, mapping_tsv, gamma, truth):
 @cli.command("sweep")
 @click.argument("config_path")
 @click.option("--out", type=str, default=None, help="CSV output path (defaults to config 'output').")
-@click.option("--jobs", type=int, default=1, show_default=True, help="Parallel worker processes.")
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True, help="Parallel worker processes.")
 def sweep_cmd(config_path, out, jobs):
     """Run the cross product of (method, gamma, seed) from a JSON config."""
     try:

@@ -216,14 +216,8 @@ def load_edge_list(text: str | Iterable[str]) -> Graph:
 def write_edge_list(g: Graph) -> str:
     """Serialize a graph in the format accepted by :func:`load_edge_list`."""
     kind = "directed" if g.directed else "undirected"
-    out = [f"# n={g.n} {kind}", kind]
-    adj = g.adjacency
-    if g.directed:
-        pairs = np.argwhere(adj == 1)
-    else:
-        pairs = np.argwhere(np.triu(adj, 1) == 1)
-    for u, v in pairs:
-        out.append(f"{u} {v}")
+    pairs = np.argwhere(g.adjacency if g.directed else np.triu(g.adjacency, 1)).tolist()
+    out = [f"# n={g.n} {kind}", kind] + [f"{u} {v}" for u, v in pairs]
     return "\n".join(out) + "\n"
 
 

@@ -170,9 +170,7 @@ def hungarian_max_weight(w: np.ndarray, allowed: np.ndarray | None = None) -> As
     # handled as its transpose, with the columns as the pairs' owners.
     owners, taken = solved[::-1] if transposed else solved
     candidates = _cycle_losses(cost.T if transposed else cost, owners, taken, tol)
-    if candidates is None:
-        candidates = allowed
-    elif transposed:
+    if transposed:
         candidates = candidates.T
     pinned = ~candidates[solved]
     if pinned.all():
@@ -192,8 +190,8 @@ def hungarian_max_weight(w: np.ndarray, allowed: np.ndarray | None = None) -> As
     return Assignment(pairs=tuple(pairs), total_weight=float(w[tuple(zip(*pairs))].sum()))
 
 
-def _cycle_losses(cost: np.ndarray, owners: np.ndarray, taken: np.ndarray, tol: float) -> np.ndarray | None:
-    """The cells of ``cost`` on an exchange cycle that loses at most ``tol``, or None.
+def _cycle_losses(cost: np.ndarray, owners: np.ndarray, taken: np.ndarray, tol: float) -> np.ndarray:
+    """The cells of ``cost`` on an exchange cycle that loses at most ``tol``.
 
     ``cost`` has no more rows than columns and (``owners[p]``, ``taken[p]``)
     is a min-cost full assignment of its rows. Node p of the exchange graph
@@ -226,7 +224,8 @@ def _cycle_losses(cost: np.ndarray, owners: np.ndarray, taken: np.ndarray, tol: 
     and Floyd-Warshall makes a fixed number of passes, so float-noise
     cycles of slightly negative weight cannot keep either from
     terminating. Passes that have not settled after ``nodes + 1`` mean a
-    cycle well below zero, which leaves no safe pruning: None is returned.
+    cycle well below zero, which leaves no safe pruning: every allowed
+    (finite) cell is then a candidate.
     """
     held = cost[owners, taken]
     # the diagonal is exactly 0: a pair keeping its own column
@@ -247,7 +246,7 @@ def _cycle_losses(cost: np.ndarray, owners: np.ndarray, taken: np.ndarray, tol: 
             break
         d = relaxed
     else:
-        return None
+        return np.isfinite(cost)
     np.add(graph, d[:, None], out=buf)
     tight = np.subtract(buf, d[None, :], out=buf) <= 2 * tol
     del buf

@@ -26,7 +26,8 @@ __all__ = [
     "mean_field_ratio",
 ]
 
-def _pairs_of(mapping) -> list[tuple[int, int]]:
+def _rows_cols(mapping) -> tuple[list[int], list[int]]:
+    """The rows and the columns of a one-to-one mapping's pairs, in pair order."""
     pairs = list(mapping.pairs) if isinstance(mapping, Assignment) else [tuple(p) for p in mapping]
     rows = [i for i, _ in pairs]
     cols = [j for _, j in pairs]
@@ -34,15 +35,13 @@ def _pairs_of(mapping) -> list[tuple[int, int]]:
         raise ValueError("mapping must be one-to-one")
     if pairs and min(min(rows), min(cols)) < 0:
         raise ValueError("mapping node ids must be non-negative")
-    return pairs
+    return rows, cols
 
 
 def _mapped_blocks(g1: Graph, g2: Graph, mapping) -> tuple[np.ndarray, np.ndarray]:
     """Int8 adjacency blocks of the mapped nodes of each graph, in pair order."""
-    pairs = _pairs_of(mapping)
-    rows = [i for i, _ in pairs]
-    cols = [j for _, j in pairs]
-    if pairs and (max(rows) >= g1.n or max(cols) >= g2.n):
+    rows, cols = _rows_cols(mapping)
+    if rows and (max(rows) >= g1.n or max(cols) >= g2.n):
         raise ValueError("mapping references nodes outside the graphs")
     return g1.adjacency[:, rows][rows], g2.adjacency[:, cols][cols]
 
@@ -87,11 +86,11 @@ def generalized_objective(g1: Graph, g2: Graph, mapping, gamma: float) -> float:
 
 def node_accuracy(mapping, truth: Permutation) -> float:
     """Fraction of mapped nodes sent to their true image."""
-    pairs = _pairs_of(mapping)
-    if not pairs:
+    rows, cols = _rows_cols(mapping)
+    if not rows:
         return 0.0
-    hits = sum(1 for i, j in pairs if i < truth.n and int(truth.mapping[i]) == j)
-    return hits / len(pairs)
+    hits = sum(1 for i, j in zip(rows, cols) if i < truth.n and int(truth.mapping[i]) == j)
+    return hits / len(rows)
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,8 @@ def _symmetric_bernoulli(n: int, prob: np.ndarray | float, rng: np.random.Genera
 
 def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     """Undirected G(n, p): each unordered pair is an edge with probability p."""
+    if n < 1:
+        raise ValueError(f"node count must be at least 1, got n={n}")
     if not 0 <= p <= 1:
         raise ValueError(f"edge probability must lie in [0, 1], got {p}")
     rng = np.random.default_rng(seed)
@@ -52,6 +54,9 @@ def stochastic_block_model(block_sizes: list[int], density: np.ndarray, seed: in
     k = len(block_sizes)
     if density.shape != (k, k):
         raise ValueError(f"density must be {k}x{k} for {k} blocks, got {density.shape}")
+    if not np.isfinite(density).all():
+        a, b = np.argwhere(~np.isfinite(density))[0].tolist()
+        raise ValueError(f"density entries must be finite, got density[{a}, {b}] = {density[a, b]}")
     if not np.array_equal(density, density.T):
         raise ValueError("density matrix must be symmetric")
     if density.min() < 0 or density.max() > 1:
@@ -185,7 +190,8 @@ def sample_mapping_set(n: int, truth: Permutation, k: int, seed: int) -> Mapping
     """Candidate mapping set of size k*n containing all n true pairs.
 
     The other (k-1)*n members are drawn uniformly without replacement from
-    the false pairs (i, j') with j' != truth(i).
+    the false pairs (i, j') with j' != truth(i). Pair (i, j') is drawn as
+    the id i*n + j', so the sorted ids are the pairs in row-major order.
     """
     if truth.n != n:
         raise ValueError(f"truth permutation size {truth.n} does not match n={n}")
@@ -194,12 +200,8 @@ def sample_mapping_set(n: int, truth: Permutation, k: int, seed: int) -> Mapping
     extra = (k - 1) * n
     if extra > n * n - n:
         raise ValueError(f"cannot sample {extra} false pairs from {n * n - n} available")
-    pairs = [(i, int(truth.mapping[i])) for i in range(n)]
+    ids = np.arange(n) * n + truth.mapping
     if extra > 0:
-        rng = np.random.default_rng(seed)
-        all_ids = np.arange(n * n)
-        truth_ids = np.arange(n) * n + truth.mapping
-        false_ids = np.setdiff1d(all_ids, truth_ids, assume_unique=True)
-        chosen = rng.choice(false_ids, size=extra, replace=False)
-        pairs.extend((int(t) // n, int(t) % n) for t in chosen)
-    return MappingSet(n1=n, n2=n, pairs=tuple(sorted(pairs)))
+        false_ids = np.flatnonzero(np.bincount(ids, minlength=n * n) == 0)  # ascending: the draws index this order
+        ids = np.concatenate([ids, np.random.default_rng(seed).choice(false_ids, size=extra, replace=False)])
+    return MappingSet(n, n, *np.divmod(np.sort(ids), n))

@@ -4,15 +4,16 @@ The alignment matrix A lives on candidate node mappings: entry
 A[(i,j'),(r,s')] scores the pair of mappings by whether the underlying
 edges agree (match), disagree (mismatch), or are both absent (neutral).
 Only :func:`alignment_entry` and :func:`directed_alignment_entry` compute
-these scores. A is available both as a dense matrix over a mapping set,
-whose entries are looked up from those rules, and as a matrix-free
-operator over the full product set.
+these scores. A is available both as a dense matrix over a mapping set
+(two index arrays of its pairs), whose entries are looked up from those
+rules, and as a matrix-free operator over the full product set.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,45 +73,52 @@ def from_alpha(alpha: float, eps: float) -> ScoreScheme:
     return ScoreScheme(alpha + eps, 1.0 + eps, eps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MappingSet:
-    """An ordered set of allowed mapping pairs (i, j') between two node sets."""
+    """An ordered set of allowed mapping pairs (``rows[p]``, ``cols[p]``) between two node sets.
+
+    p is the pair's index in the dense alignment matrix; both are read-only int64 arrays.
+    """
 
     n1: int
     n2: int
-    pairs: tuple[tuple[int, int], ...]
-    index: dict[tuple[int, int], int] = field(init=False, repr=False, compare=False)
+    rows: np.ndarray
+    cols: np.ndarray
 
     def __post_init__(self):
-        idx: dict[tuple[int, int], int] = {}
-        for pos, (i, j) in enumerate(self.pairs):
-            if not (0 <= i < self.n1 and 0 <= j < self.n2):
-                raise ValueError(f"pair ({i}, {j}) out of range for sizes ({self.n1}, {self.n2})")
-            if (i, j) in idx:
-                raise ValueError(f"duplicate pair ({i}, {j}) in mapping set")
-            idx[(i, j)] = pos
-        object.__setattr__(self, "index", idx)
+        rows, cols = np.asarray(self.rows), np.asarray(self.cols)
+        if rows.ndim != 1 or rows.shape != cols.shape:
+            raise ValueError(f"rows and cols must be 1-D of equal length, got shapes {rows.shape} and {cols.shape}")
+        bad = np.flatnonzero((rows < 0) | (rows >= self.n1) | (cols < 0) | (cols >= self.n2))
+        if bad.size:
+            raise ValueError(f"pair ({rows[bad[0]]}, {cols[bad[0]]}) out of range for sizes ({self.n1}, {self.n2})")
+        rows, cols = rows.astype(np.int64), cols.astype(np.int64)
+        _, first = np.unique(rows * self.n2 + cols, return_index=True)
+        if len(first) < len(rows):
+            p = np.setdiff1d(np.arange(len(rows)), first)[0]  # the first pair seen before
+            raise ValueError(f"duplicate pair ({rows[p]}, {cols[p]}) in mapping set")
+        rows.flags.writeable = cols.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+
+    @functools.cached_property
+    def index(self) -> dict[tuple[int, int], int]:
+        """Each pair's position in the set, built on first use."""
+        return dict(zip(zip(self.rows.tolist(), self.cols.tolist()), range(len(self))))
 
     def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __contains__(self, pair: tuple[int, int]) -> bool:
-        return pair in self.index
+        return len(self.rows)
 
     def mask(self) -> np.ndarray:
         """Boolean n1 x n2 matrix marking allowed cells."""
         allowed = np.zeros((self.n1, self.n2), dtype=bool)
-        rows, cols = self.rows_cols()
-        allowed[rows, cols] = True
+        allowed[self.rows, self.cols] = True
         return allowed
-
-    def rows_cols(self) -> tuple[np.ndarray, np.ndarray]:
-        arr = np.asarray(self.pairs, dtype=np.int64).reshape(len(self.pairs), 2)
-        return arr[:, 0], arr[:, 1]
 
     @classmethod
     def full(cls, n1: int, n2: int) -> "MappingSet":
-        return cls(n1=n1, n2=n2, pairs=tuple((i, j) for i in range(n1) for j in range(n2)))
+        """Every pair, in row-major order."""
+        return cls(n1, n2, *np.divmod(np.arange(n1 * n2), n2))
 
 
 def alignment_entry(s: ScoreScheme, e1: int, e2: int) -> float:
@@ -177,7 +185,7 @@ def build_alignment_matrix(
             f"|R|^2 = {r * r} exceeds the cap of {max_entries} entries; "
             "use the implicit operator (alignment_matvec) for full mapping sets"
         )
-    rows, cols = mapping_set.rows_cols()
+    rows, cols = mapping_set.rows, mapping_set.cols
     # one axis at a time, columns first, so the blocks come out C-ordered
     # as from np.ix_, at a fraction of its cost
     e1 = g1.adjacency[:, rows][rows]

@@ -96,7 +96,8 @@ class TestEigenAlign:
         g2 = apply_permutation(g1, truth)
         r = sample_mapping_set(12, truth, 2, 11)
         res = eigen_align(g1, g2, from_alpha(10, 0.001), r, seed=1)
-        assert all(pair in r for pair in res.mapping.pairs)
+        allowed = r.mask()
+        assert all(allowed[i, j] for i, j in res.mapping.pairs)
 
     def test_rectangular_sizes(self):
         g1 = erdos_renyi(4, 0.5, 2)
@@ -121,9 +122,14 @@ class TestEigenAlign:
 
         g = erdos_renyi(4, 0.5, 0)
         # three rows forced into a single column
-        r = MappingSet(n1=4, n2=4, pairs=((0, 0), (1, 0), (2, 0), (3, 1), (3, 2)))
+        r = MappingSet(4, 4, rows=[0, 1, 2, 3, 3], cols=[0, 0, 0, 1, 2])
         with pytest.raises(InfeasibleMatchingError):
             eigen_align(g, g, ScoreScheme(4, 2, 1), r)
+
+    def test_mapping_set_of_other_sizes_rejected(self):
+        g = erdos_renyi(4, 0.5, 0)
+        with pytest.raises(ValueError, match=r"mapping set sizes \(4, 5\) do not match graphs \(4, 4\)"):
+            eigen_align(g, g, ScoreScheme(4, 2, 1), MappingSet.full(4, 5))
 
     def test_memory_guard_propagates(self):
         from specalign.score import DEFAULT_DENSE_ENTRY_CAP, MemoryGuardError

@@ -110,6 +110,25 @@ class TestGenerate:
         assert code == 2
         assert "even" in err
 
+    @pytest.mark.parametrize(
+        "within, cross, named",
+        [("nan,0.2", "0.1", "density[0, 0] = nan"), ("0.1,0.2", "nan", "density[0, 1] = nan")],
+    )
+    def test_sbm_non_finite_density_names_it(self, tmp_path, capsys, within, cross, named):
+        code, _, err = run_main(
+            ["generate", "sbm", "--sizes", "5,5", "--within", within, "--cross", cross, "--out", str(tmp_path / "b")],
+            capsys,
+        )
+        assert code == 2
+        assert named in err
+        assert "symmetric" not in err
+
+    def test_er_negative_n_names_it(self, tmp_path, capsys):
+        code, _, err = run_main(["generate", "er", "--n", "-3", "--p", "0.1", "--out", str(tmp_path / "g")], capsys)
+        assert code == 2
+        assert "n=-3" in err
+        assert "negative dimensions" not in err
+
 
 class TestAlign:
     @pytest.fixture()
@@ -246,6 +265,16 @@ class TestAlign:
         assert code == 2
         assert "mapping set is empty" in err
         assert "argmax" not in err
+
+    def test_restrict_out_of_range_pair_names_it(self, pair, capsys):
+        r_file = pair / "allowed.txt"
+        r_file.write_text("0\t0\n10\t3\n1\t1\n")
+        code, _, err = run_main(
+            ["align", "ea", str(pair / "pair_g1.el"), str(pair / "pair_g2.el"), "--alpha", "10", "--restrict", str(r_file)],
+            capsys,
+        )
+        assert code == 2
+        assert "pair (10, 3) out of range for sizes (10, 10)" in err
 
 
 class TestSweep:
@@ -403,6 +432,16 @@ class TestSweep:
         code, _, err = run_main(["sweep", str(cfg)], capsys)
         assert code == 1
         assert f"SPECALIGN_SEED {value!r}" in err
+
+    @pytest.mark.parametrize("jobs", ["0", "-5"])
+    def test_jobs_below_one_usage_error(self, tmp_path, capsys, jobs):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(SMALL_CONFIG))
+        out = tmp_path / "out.csv"
+        code, _, err = run_main(["sweep", str(cfg), "--jobs", jobs, "--out", str(out)], capsys)
+        assert code == 1
+        assert "--jobs" in err and jobs in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("cpus, want", [(64, [3]), (2, [2]), (None, [])])
     def test_worker_count_clamped(self, monkeypatch, cpus, want):

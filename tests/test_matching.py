@@ -211,7 +211,9 @@ class TestCycleLosses:
     def test_negative_cycle_does_not_settle(self):
         # both rows would gain by swapping columns: not an optimum
         cost = -np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        assert _cycle_losses(cost, np.array([0, 1]), np.array([1, 0]), _TIE_TOL) is None
+        # nothing is pruned: every allowed (finite) cell is a candidate
+        candidates = _cycle_losses(cost, np.array([0, 1]), np.array([1, 0]), _TIE_TOL)
+        assert np.array_equal(candidates, np.isfinite(cost))
 
     def test_non_optimal_first_solve_normalises_every_row(self, monkeypatch):
         w = np.eye(3)
@@ -392,8 +394,8 @@ def normalised_rows(monkeypatch):
 def solve_counting_laps(w, allowed=None, filtered=True):
     """The matcher's assignment and its LAP solves, with the cycle-loss pruning on or off.
 
-    Off, ``_cycle_losses`` returns None, as when its potentials do not
-    settle: nothing is pinned, and every allowed cell is tested.
+    Off, ``_cycle_losses`` marks every allowed cell, as when its potentials
+    do not settle: nothing is pinned, and every allowed cell is tested.
     """
     calls = []
     lap = specalign.matching.linear_sum_assignment
@@ -405,7 +407,7 @@ def solve_counting_laps(w, allowed=None, filtered=True):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(specalign.matching, "linear_sum_assignment", counting)
         if not filtered:
-            mp.setattr(specalign.matching, "_cycle_losses", lambda cost, owners, taken, tol: None)
+            mp.setattr(specalign.matching, "_cycle_losses", lambda cost, owners, taken, tol: np.isfinite(cost))
         return hungarian_max_weight(w, allowed), len(calls)
 
 

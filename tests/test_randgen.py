@@ -91,6 +91,11 @@ class TestErdosRenyi:
         with pytest.raises(ValueError):
             erdos_renyi(5, 1.5, 0)
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_no_nodes_names_n(self, n):
+        with pytest.raises(ValueError, match=f"got n={n}$"):
+            erdos_renyi(n, 0.1, 0)
+
 
 class TestStochasticBlockModel:
     def test_single_block_matches_er(self):
@@ -126,6 +131,19 @@ class TestStochasticBlockModel:
     def test_asymmetric_density_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
             stochastic_block_model([2, 2], np.array([[0.1, 0.2], [0.3, 0.1]]), 0)
+
+    @pytest.mark.parametrize(
+        "density, named",
+        [
+            ([[np.nan, 0.1], [0.1, 0.2]], r"density\[0, 0\] = nan"),
+            ([[0.1, np.nan], [np.nan, 0.2]], r"density\[0, 1\] = nan"),
+            ([[0.1, 0.1], [0.1, np.inf]], r"density\[1, 1\] = inf"),
+        ],
+    )
+    def test_non_finite_density_named(self, density, named):
+        # a NaN breaks the symmetry test too, so finiteness is checked first
+        with pytest.raises(ValueError, match=f"must be finite, got {named}"):
+            stochastic_block_model([5, 5], np.array(density), 0)
 
 
 class TestRandomRegular:
@@ -238,19 +256,40 @@ class TestNoiseModels:
             assert np.array_equal(noisy.adjacency, noisy.adjacency.T)
 
 
+def tuple_mapping_set(n, truth, k, seed):
+    """The sampler as it was, one tuple per pair, sorted: a test-only oracle."""
+    pairs = [(i, int(truth.mapping[i])) for i in range(n)]
+    extra = (k - 1) * n
+    if extra > 0:
+        rng = np.random.default_rng(seed)
+        all_ids = np.arange(n * n)
+        truth_ids = np.arange(n) * n + truth.mapping
+        false_ids = np.setdiff1d(all_ids, truth_ids, assume_unique=True)
+        chosen = rng.choice(false_ids, size=extra, replace=False)
+        pairs.extend((int(t) // n, int(t) % n) for t in chosen)
+    return sorted(pairs)
+
+
 class TestSampleMappingSet:
+    @pytest.mark.parametrize("n", [10, 50, 500])
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_same_pairs_and_order_as_the_tuple_oracle(self, n, k):
+        for seed in range(30):
+            truth = random_permutation(n, seed)
+            r = sample_mapping_set(n, truth, k, seed)
+            assert list(zip(r.rows.tolist(), r.cols.tolist())) == tuple_mapping_set(n, truth, k, seed)
+
     def test_k1_is_exactly_truth(self):
         truth = random_permutation(10, 0)
         r = sample_mapping_set(10, truth, 1, 1)
         assert len(r) == 10
-        assert set(r.pairs) == {(i, int(truth.mapping[i])) for i in range(10)}
+        assert (r.rows.tolist(), r.cols.tolist()) == (list(range(10)), truth.mapping.tolist())
 
     def test_k2_contains_truth(self):
         truth = random_permutation(10, 3)
         r = sample_mapping_set(10, truth, 2, 4)
         assert len(r) == 20
-        for i in range(10):
-            assert (i, int(truth.mapping[i])) in r
+        assert r.mask()[np.arange(10), truth.mapping].all()
 
     def test_k_equals_n_covers_everything(self):
         n = 8
@@ -263,7 +302,8 @@ class TestSampleMappingSet:
 
     def test_deterministic(self):
         truth = random_permutation(12, 5)
-        assert sample_mapping_set(12, truth, 3, 6).pairs == sample_mapping_set(12, truth, 3, 6).pairs
+        a, b = sample_mapping_set(12, truth, 3, 6), sample_mapping_set(12, truth, 3, 6)
+        assert np.array_equal(a.rows, b.rows) and np.array_equal(a.cols, b.cols)
 
 
 class TestDeterminism:

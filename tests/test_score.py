@@ -41,6 +41,53 @@ def random_graph(n, p, seed, directed):
     return Graph(adj, directed=True)
 
 
+class TestMappingSet:
+    def test_out_of_range_pair_named(self):
+        with pytest.raises(ValueError, match=r"^pair \(12, 3\) out of range for sizes \(12, 12\)$"):
+            MappingSet(12, 12, rows=[0, 12, 13], cols=[0, 3, 3])
+
+    def test_negative_id_out_of_range(self):
+        with pytest.raises(ValueError, match=r"pair \(1, -1\) out of range"):
+            MappingSet(3, 3, rows=[0, 1], cols=[0, -1])
+
+    def test_repeated_pair_rejected(self):
+        # the pair named is the first one seen before, as the set is read
+        with pytest.raises(ValueError, match=r"^duplicate pair \(2, 1\) in mapping set$"):
+            MappingSet(3, 3, rows=[2, 0, 2, 0], cols=[1, 0, 1, 0])
+
+    @pytest.mark.parametrize("rows, cols", [([0, 1], [0]), ([0], [0, 1]), ([[0, 1]], [[0, 1]])])
+    def test_unequal_or_not_flat_rejected(self, rows, cols):
+        with pytest.raises(ValueError, match="1-D of equal length"):
+            MappingSet(3, 3, rows=rows, cols=cols)
+
+    def test_arrays_are_read_only_int64_copies(self):
+        rows, cols = [2, 0], np.array([1, 2], dtype=np.int32)
+        r = MappingSet(3, 3, rows=rows, cols=cols)
+        for arr in (r.rows, r.cols):
+            assert arr.dtype == np.int64 and not arr.flags.writeable
+        cols[0] = 0
+        assert r.cols.tolist() == [1, 2]
+
+    def test_index_is_the_pair_position(self):
+        r = MappingSet(4, 5, rows=[3, 0, 2], cols=[4, 1, 1])
+        assert r.index == {(3, 4): 0, (0, 1): 1, (2, 1): 2}
+        assert [r.index[(i, j)] for i, j in zip(r.rows.tolist(), r.cols.tolist())] == [0, 1, 2]
+
+    def test_mask_marks_the_pairs(self):
+        r = MappingSet(2, 3, rows=[1, 0], cols=[2, 0])
+        assert r.mask().tolist() == [[True, False, False], [False, False, True]]
+
+    @pytest.mark.parametrize("n1, n2", [(1, 1), (3, 4), (4, 3), (0, 2), (2, 0)])
+    def test_full_is_the_row_major_product(self, n1, n2):
+        full = MappingSet.full(n1, n2)
+        assert list(zip(full.rows.tolist(), full.cols.tolist())) == list(itertools.product(range(n1), range(n2)))
+        assert len(full) == n1 * n2
+
+    def test_empty_set(self):
+        r = MappingSet(3, 3, rows=[], cols=[])
+        assert len(r) == 0 and not r.mask().any()
+
+
 class TestScoreScheme:
     def test_from_alpha_values(self):
         s = from_alpha(3, 0.001)
@@ -169,9 +216,9 @@ class TestBuildAlignmentMatrix:
         s = ScoreScheme(4, 2, 1)
         full = MappingSet.full(4, 4)
         a_full = build_alignment_matrix(g1, g2, s, full)
-        sub = MappingSet(n1=4, n2=4, pairs=((0, 1), (1, 3), (2, 0), (3, 2)))
+        sub = MappingSet(4, 4, rows=[0, 1, 2, 3], cols=[1, 3, 0, 2])
         a_sub = build_alignment_matrix(g1, g2, s, sub)
-        idx = [full.index[p] for p in sub.pairs]
+        idx = [full.index[p] for p in zip(sub.rows.tolist(), sub.cols.tolist())]
         assert np.array_equal(a_sub, a_full[np.ix_(idx, idx)])
 
     @given(seed=st.integers(0, 2**32), directed=st.booleans(), restrict=st.booleans(), s=SCHEMES)
@@ -181,10 +228,12 @@ class TestBuildAlignmentMatrix:
         (n1, n2), (p1, p2) = rng.integers(1, 7, size=2).tolist(), rng.random(2)
         g1 = random_graph(n1, p1, seed, directed)
         g2 = random_graph(n2, p2, seed + 1, directed)
-        pairs = MappingSet.full(n1, n2).pairs
+        full = MappingSet.full(n1, n2)
+        keep = np.arange(len(full))
         if restrict:
-            pairs = tuple(pairs[k] for k in rng.permutation(len(pairs))[: rng.integers(len(pairs) + 1)])
-        a = build_alignment_matrix(g1, g2, s, MappingSet(n1, n2, pairs=pairs))
+            keep = rng.permutation(len(full))[: rng.integers(len(full) + 1)]
+        a = build_alignment_matrix(g1, g2, s, MappingSet(n1, n2, full.rows[keep], full.cols[keep]))
+        pairs = list(zip(full.rows[keep].tolist(), full.cols[keep].tolist()))
         adj1, adj2 = g1.adjacency.tolist(), g2.adjacency.tolist()
         for (p, (i, jp)), (q, (r, sp)) in itertools.product(enumerate(pairs), repeat=2):
             if directed:
@@ -287,7 +336,7 @@ class TestDirectedMatrix:
             g2 = Graph(adj2, directed=True)
             full = MappingSet.full(4, 4)
             a = build_alignment_matrix(g1, g2, s, full)
-            for (i, jp), (r, sp) in itertools.product(full.pairs, repeat=2):
+            for (i, jp), (r, sp) in itertools.product(zip(full.rows.tolist(), full.cols.tolist()), repeat=2):
                 want = directed_alignment_entry(
                     s, adj1[i, r], adj1[r, i], adj2[jp, sp], adj2[sp, jp]
                 )
