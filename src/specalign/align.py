@@ -226,8 +226,9 @@ def low_rank_align(
             best = (value, candidate, affinity)
 
     _, winner, affinity = best
-    kept = tuple((i, j) for i, j in winner.pairs if i < g1.n and j < g2.n)
-    trimmed = Assignment(pairs=kept, total_weight=float(sum(affinity[i, j] for i, j in kept)))
+    real = (winner.rows < g1.n) & (winner.cols < g2.n)
+    rows, cols = winner.rows[real], winner.cols[real]
+    trimmed = Assignment(rows, cols, total_weight=float(sum(affinity[rows, cols].tolist())))
     return _finish(g1, g2, trimmed, gamma, "lra", rank_k, None)
 
 
@@ -239,10 +240,10 @@ def _exact_rounding(affinity: np.ndarray, n1: int, n2: int) -> Assignment:
     if np.abs(padded - line).max() > 1e-12 * np.abs(affinity).max():
         return hungarian_max_weight(affinity)
     real = hungarian_max_weight(affinity[:n1, :n2] - line)
-    taken = np.array(real.pairs, dtype=np.int64).reshape(-1, 2).T
-    rows_left, cols_left = (np.delete(np.arange(len(affinity)), used).tolist() for used in taken)
-    pairs = sorted(real.pairs + tuple(zip(rows_left, cols_left)))
-    return Assignment(pairs=tuple(pairs), total_weight=float(affinity[tuple(zip(*pairs))].sum()))
+    rows, col_of = np.arange(len(affinity)), np.full(len(affinity), -1)
+    col_of[real.rows] = real.cols
+    col_of[col_of < 0] = np.delete(rows, real.cols)
+    return Assignment(rows, col_of, total_weight=float(affinity[rows, col_of].sum()))
 
 
 def rounding_gap_bound(g1m: np.ndarray, g2m: np.ndarray, eps: float) -> float:
@@ -281,8 +282,7 @@ def brute_force_qap(g1: Graph, g2: Graph, gamma: float) -> AlignmentResult:
         if value > best_value:
             best_value = value
             best_perm = perm
-    pairs = tuple((i, best_perm[i]) for i in range(n))
-    assignment = Assignment(pairs=pairs, total_weight=best_value)
+    assignment = Assignment(np.arange(n), np.asarray(best_perm), total_weight=best_value)
     return _finish(g1, g2, assignment, gamma, "brute", None, None)
 
 

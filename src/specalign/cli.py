@@ -27,6 +27,7 @@ from .experiments import (
     sweep_rows_to_csv,
 )
 from .graph import Graph, Permutation, load_edge_list, parse_id_pair, write_edge_list
+from .matching import Assignment
 from .metrics import count_alignment, generalized_objective, node_accuracy
 from .score import MappingSet, ScoreScheme, build_alignment_matrix, from_alpha
 
@@ -193,7 +194,7 @@ def _emit_result(result, truth, out, started) -> None:
     wall_ms = (time.perf_counter() - started) * 1000.0
     _echo_record(cell_record(result.method, result.gamma, result.seed, scores, accuracy, wall_ms))
     if out:
-        lines = [f"{i}\t{j}" for i, j in result.mapping.pairs]
+        lines = [f"{i}\t{j}" for i, j in zip(result.mapping.rows.tolist(), result.mapping.cols.tolist())]
         Path(out).write_text("\n".join(lines) + "\n")
 
 
@@ -279,10 +280,12 @@ def align_brute(g1_path, g2_path, gamma, truth, out):
 def eval_cmd(g1_path, g2_path, mapping_tsv, gamma, truth):
     """Recount metrics from a stored mapping TSV."""
     g1, g2 = _load_graph(g1_path), _load_graph(g2_path)
-    pairs = _read_pairs(mapping_tsv)
-    scores = (*count_alignment(g1, g2, pairs), generalized_objective(g1, g2, pairs, gamma))
+    # object ids: an id past int64 reaches the Assignment check unconverted
+    ids = np.array(_read_pairs(mapping_tsv), dtype=object).reshape(-1, 2)
+    mapping = Assignment(ids[:, 0], ids[:, 1], total_weight=float("nan"))
+    scores = (*count_alignment(g1, g2, mapping), generalized_objective(g1, g2, mapping, gamma))
     truth_perm = _load_truth(truth)
-    accuracy = None if truth_perm is None else node_accuracy(pairs, truth_perm)
+    accuracy = None if truth_perm is None else node_accuracy(mapping, truth_perm)
     _echo_record(cell_record("eval", gamma, None, scores, accuracy))
 
 

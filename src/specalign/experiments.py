@@ -104,7 +104,15 @@ def _density(g: Graph) -> float:
     return 2 * g.edge_count / (g.n * (g.n - 1)) if g.n > 1 else 0.0
 
 
-PAIR_FAMILIES = ("er", "sbm", "regular", "powerlaw", "er_sbm")
+# each pair family with the spec keys its generators read without a default
+REQUIRED_PAIR_KEYS = {
+    "er": ("n", "p"),
+    "sbm": ("block_sizes", "density"),
+    "regular": ("n", "d"),
+    "powerlaw": ("n",),
+    "er_sbm": (),
+}
+PAIR_FAMILIES = tuple(REQUIRED_PAIR_KEYS)  # a tuple: a JSON list as family is unknown, not unhashable
 NOISE_MODELS = ("none", "model1", "model2")
 
 
@@ -210,6 +218,9 @@ def validate_config(config: dict) -> None:
     family = config["pair"].get("family")
     if family not in PAIR_FAMILIES:
         raise ConfigError(f"pair family {family!r} is not one of {', '.join(PAIR_FAMILIES)}")
+    for key in REQUIRED_PAIR_KEYS[family]:
+        if key not in config["pair"]:
+            raise ConfigError(f"pair family {family!r} requires {key!r}")
     noise = config["pair"].get("noise", "none")
     if noise not in NOISE_MODELS:
         raise ConfigError(f"pair noise {noise!r} is not one of {', '.join(NOISE_MODELS)}")

@@ -52,6 +52,7 @@ __all__ = [
 ]
 
 _TIE_TOL = 1e-9
+_INT64_MAX = np.iinfo(np.int64).max
 # A cycle that loses at most this much more than the tolerance, relative to
 # it, could be a tie under another summation order: its cells stay
 # candidates, and the completion solves judge them at the tolerance.
@@ -75,22 +76,31 @@ class InfeasibleMatchingError(ValueError):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Assignment:
-    """A one-to-one set of (i, j') pairs with its total weight."""
+    """A one-to-one mapping, pairs (``rows[p]``, ``cols[p]``) in read-only int64 arrays sorted by row."""
 
-    pairs: tuple[tuple[int, int], ...]
+    rows: np.ndarray
+    cols: np.ndarray
     total_weight: float
 
     def __post_init__(self):
-        rows = [i for i, _ in self.pairs]
-        cols = [j for _, j in self.pairs]
-        if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
-            raise ValueError("assignment must use each row and column at most once")
-        object.__setattr__(self, "pairs", tuple(sorted(self.pairs)))
+        # a list becomes an object array: numpy makes floats of a mix of ids within and past int64
+        rows, cols = (a if isinstance(a, np.ndarray) else np.array(a, dtype=object) for a in (self.rows, self.cols))
+        if rows.ndim != 1 or rows.shape != cols.shape:
+            raise ValueError(f"rows and cols must be 1-D of equal length, got shapes {rows.shape} and {cols.shape}")
+        if rows.size and not 0 <= min(rows.min(), cols.min()) <= max(rows.max(), cols.max()) <= _INT64_MAX:
+            raise ValueError("mapping node ids must be non-negative and fit in int64")
+        order = np.argsort(rows)
+        rows, cols = rows.astype(np.int64)[order], cols.astype(np.int64)[order]
+        if (rows[1:] == rows[:-1]).any() or (np.diff(np.sort(cols)) == 0).any():
+            raise ValueError("mapping must be one-to-one, using each row and column at most once")
+        rows.flags.writeable = cols.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.rows)
 
 
 def _as_weight_mask(w: np.ndarray, allowed: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
@@ -175,19 +185,23 @@ def hungarian_max_weight(w: np.ndarray, allowed: np.ndarray | None = None) -> As
     pinned = ~candidates[solved]
     if pinned.all():
         # the only assignment within the tolerance; its rows come sorted
-        return Assignment(pairs=tuple(zip(solved[0].tolist(), solved[1].tolist())), total_weight=optimum)
+        return Assignment(*solved, total_weight=optimum)
     pinned_rows, pinned_cols = solved[0][pinned], solved[1][pinned]
     pinned_weight = float(w[pinned_rows, pinned_cols].sum())
-    pairs = list(zip(pinned_rows.tolist(), pinned_cols.tolist()))
     rows, cols = np.delete(np.arange(n1), pinned_rows), np.delete(np.arange(n2), pinned_cols)
     # each flexible row's solved column as a position in cols, -1 if unmatched
     held = np.full(n1, -1)
     held[solved[0]] = np.searchsorted(cols, solved[1])
+    held = held[rows]
     # the full blocks are dropped: the normalisation holds only its own
     cost, candidates = cost[:, cols][rows], candidates[:, cols][rows]
-    pairs += _normalise(cost, candidates, rows, cols, held[rows], optimum - pinned_weight, tol)
-    pairs.sort()
-    return Assignment(pairs=tuple(pairs), total_weight=float(w[tuple(zip(*pairs))].sum()))
+    _normalise(cost, candidates, held, optimum - pinned_weight, tol)
+    col_of = np.full(n1, -1)
+    col_of[pinned_rows] = pinned_cols
+    flexible = held >= 0
+    col_of[rows[flexible]] = cols[held[flexible]]
+    matched = np.flatnonzero(col_of >= 0)
+    return Assignment(matched, col_of[matched], total_weight=float(w[matched, col_of[matched]].sum()))
 
 
 def _cycle_losses(cost: np.ndarray, owners: np.ndarray, taken: np.ndarray, tol: float) -> np.ndarray:
@@ -287,42 +301,30 @@ def _cycle_losses(cost: np.ndarray, owners: np.ndarray, taken: np.ndarray, tol: 
     return candidates
 
 
-def _normalise(
-    cost: np.ndarray,
-    candidates: np.ndarray,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    held: np.ndarray,
-    optimum: float,
-    tol: float,
-) -> list[tuple[int, int]]:
-    """Lexicographically smallest assignment of ``rows`` to ``cols`` within ``tol`` of ``optimum``.
+def _normalise(cost: np.ndarray, candidates: np.ndarray, held: np.ndarray, optimum: float, tol: float) -> None:
+    """Lexicographically smallest assignment of the rows of ``cost`` within ``tol`` of ``optimum``.
 
-    ``cost`` and ``candidates`` are the full matrices' blocks of ``rows``
-    and ``cols``; the pairs come back in the full indices. ``held``
-    (updated in place) is an assignment within ``tol``: each row's
-    position in ``cols``, -1 if unmatched. Row i tests only the free
-    candidate columns below its held one, each by one solve on rows i+1..
-    and the free columns; the first that keeps the optimal total is taken
-    and its solve becomes ``held``. Otherwise row i keeps its held column,
-    or stays unmatched, without a solve.
+    ``held`` (updated in place) is an assignment within ``tol``: each row's
+    column, -1 if unmatched; on return it is the smallest one. Row i tests
+    only the free candidate columns below its held one, each by one solve
+    on rows i+1.. and the free columns; the first that keeps the optimal
+    total is taken and its solve becomes ``held``. Otherwise row i keeps
+    its held column, or stays unmatched, without a solve.
 
     ``candidates`` covers every cell of every assignment within ``tol`` on
     these rows; it may be the allowed mask itself. It only skips tests:
     the solves still see every allowed cell.
     """
-    rows, cols = rows.tolist(), cols.tolist()
-    pairs: list[tuple[int, int]] = []
     fixed_weight = 0.0
-    free_cols = np.ones(len(cols), dtype=bool)
-    target_size = min(cost.shape)
-    for i in range(len(rows)):
+    free_cols = np.ones(cost.shape[1], dtype=bool)
+    unplaced = min(cost.shape)
+    for i in range(len(cost)):
         h = int(held[i])
-        below = len(cols) if h < 0 else h
+        below = len(free_cols) if h < 0 else h
         for j in np.flatnonzero(candidates[i, :below] & free_cols[:below]).tolist():
             free_cols[j] = False
             sub = cost[i + 1 :, free_cols]
-            need = target_size - len(pairs) - 1
+            need = unplaced - 1
             solved = _solve_lap(sub) if 0 < need <= min(sub.shape) else None
             if need == 0 or solved is not None:
                 rest = -float(sub[solved].sum()) if need else 0.0
@@ -333,11 +335,11 @@ def _normalise(
                     h = j
                     break
             free_cols[j] = True
+        held[i] = h
         if h >= 0:
             free_cols[h] = False
-            pairs.append((rows[i], cols[h]))
+            unplaced -= 1
             fixed_weight -= float(cost[i, h])
-    return pairs
 
 
 def greedy_matching(w: np.ndarray, allowed: np.ndarray | None = None) -> Assignment:
@@ -374,13 +376,15 @@ def greedy_matching(w: np.ndarray, allowed: np.ndarray | None = None) -> Assignm
     heap = [(float(key[i, 0]), i, int(order[i, 0])) for i in range(n1) if ends[i]]
     heapq.heapify(heap)
     col_free = np.ones(n2, dtype=bool)
-    pairs: list[tuple[int, int]] = []
+    col_of = np.full(n1, -1)
+    matched = 0
     total = 0.0
-    while heap and len(pairs) < min(n1, n2):
+    while heap and matched < min(n1, n2):
         _, i, j = heapq.heappop(heap)
         if col_free[j]:
             col_free[j] = False
-            pairs.append((i, j))
+            col_of[i] = j
+            matched += 1
             total += float(w[i, j])
             continue
         ahead = col_free[order[i, at[i] + 1 : ends[i]]]
@@ -389,4 +393,5 @@ def greedy_matching(w: np.ndarray, allowed: np.ndarray | None = None) -> Assignm
             if ahead[k]:
                 at[i] += 1 + k
                 heapq.heappush(heap, (float(key[i, at[i]]), i, int(order[i, at[i]])))
-    return Assignment(pairs=tuple(pairs), total_weight=total)
+    rows = np.flatnonzero(col_of >= 0)
+    return Assignment(rows, col_of[rows], total_weight=total)

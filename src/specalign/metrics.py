@@ -26,27 +26,15 @@ __all__ = [
     "mean_field_ratio",
 ]
 
-def _rows_cols(mapping) -> tuple[list[int], list[int]]:
-    """The rows and the columns of a one-to-one mapping's pairs, in pair order."""
-    pairs = list(mapping.pairs) if isinstance(mapping, Assignment) else [tuple(p) for p in mapping]
-    rows = [i for i, _ in pairs]
-    cols = [j for _, j in pairs]
-    if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
-        raise ValueError("mapping must be one-to-one")
-    if pairs and min(min(rows), min(cols)) < 0:
-        raise ValueError("mapping node ids must be non-negative")
-    return rows, cols
-
-
-def _mapped_blocks(g1: Graph, g2: Graph, mapping) -> tuple[np.ndarray, np.ndarray]:
-    """Int8 adjacency blocks of the mapped nodes of each graph, in pair order."""
-    rows, cols = _rows_cols(mapping)
-    if rows and (max(rows) >= g1.n or max(cols) >= g2.n):
+def _mapped_blocks(g1: Graph, g2: Graph, mapping: Assignment) -> tuple[np.ndarray, np.ndarray]:
+    """Int8 adjacency blocks of the mapped nodes of each graph, in row order."""
+    rows, cols = mapping.rows, mapping.cols
+    if len(rows) and (rows[-1] >= g1.n or cols.max() >= g2.n):
         raise ValueError("mapping references nodes outside the graphs")
     return g1.adjacency[:, rows][rows], g2.adjacency[:, cols][cols]
 
 
-def count_alignment_ordered(g1: Graph, g2: Graph, mapping) -> tuple[int, int, int]:
+def count_alignment_ordered(g1: Graph, g2: Graph, mapping: Assignment) -> tuple[int, int, int]:
     """Ordered-pair (match, mismatch, neutral) counts over mapped nodes, diagonal excluded."""
     b1, b2 = _mapped_blocks(g1, g2, mapping)
     # code 2*b1 + b2: 0 neutral, 1 and 2 mismatch, 3 match; the m diagonal cells are neutral
@@ -54,7 +42,7 @@ def count_alignment_ordered(g1: Graph, g2: Graph, mapping) -> tuple[int, int, in
     return match, only_g1 + only_g2, neutral - len(b1)
 
 
-def count_alignment(g1: Graph, g2: Graph, mapping) -> tuple[int, int, int]:
+def count_alignment(g1: Graph, g2: Graph, mapping: Assignment) -> tuple[int, int, int]:
     """(matches, mismatches, neutrals) of a one-to-one mapping.
 
     Undirected counts are over unordered mapped node pairs and sum to
@@ -69,7 +57,7 @@ def count_alignment(g1: Graph, g2: Graph, mapping) -> tuple[int, int, int]:
     return matches // 2, mismatches // 2, neutrals // 2
 
 
-def generalized_objective(g1: Graph, g2: Graph, mapping, gamma: float) -> float:
+def generalized_objective(g1: Graph, g2: Graph, mapping: Assignment, gamma: float) -> float:
     """Trace objective Tr((G1 - gamma*J) X (G2 - gamma*J) X^T) of a mapping."""
     if not 0 <= gamma < 0.5:
         raise ValueError(f"gamma must lie in [0, 1/2), got {gamma}")
@@ -84,13 +72,13 @@ def generalized_objective(g1: Graph, g2: Graph, mapping, gamma: float) -> float:
     return float(table[code].sum())
 
 
-def node_accuracy(mapping, truth: Permutation) -> float:
+def node_accuracy(mapping: Assignment, truth: Permutation) -> float:
     """Fraction of mapped nodes sent to their true image."""
-    rows, cols = _rows_cols(mapping)
-    if not rows:
+    if not len(mapping):
         return 0.0
-    hits = sum(1 for i, j in zip(rows, cols) if i < truth.n and int(truth.mapping[i]) == j)
-    return hits / len(rows)
+    known = mapping.rows < truth.n
+    hits = int(np.count_nonzero(truth.mapping[mapping.rows[known]] == mapping.cols[known]))
+    return hits / len(mapping)
 
 
 @dataclass(frozen=True)

@@ -157,20 +157,14 @@ def directed_alignment_entry(
     return s.s2
 
 
-def build_alignment_matrix(
-    g1: Graph,
-    g2: Graph,
-    s: ScoreScheme,
-    mapping_set: MappingSet,
-    max_entries: int = DEFAULT_DENSE_ENTRY_CAP,
-) -> np.ndarray:
+def build_alignment_matrix(g1: Graph, g2: Graph, s: ScoreScheme, mapping_set: MappingSet) -> np.ndarray:
     """Dense |R| x |R| alignment matrix over the given mapping set.
 
     Each entry is looked up by its edge code from a table of
     :func:`alignment_entry` (directed: :func:`directed_alignment_entry`)
     values, so the graphs are not copied to float. The zero adjacency
     diagonal makes the diagonal neutral. All entries are strictly positive.
-    Refuses to build when |R|^2 exceeds ``max_entries``; use
+    Refuses to build when |R|^2 exceeds ``DEFAULT_DENSE_ENTRY_CAP``; use
     :func:`alignment_matvec` for large unrestricted problems instead.
     """
     if mapping_set.n1 != g1.n or mapping_set.n2 != g2.n:
@@ -180,9 +174,9 @@ def build_alignment_matrix(
     if g1.directed != g2.directed:
         raise ValueError("graphs must be both directed or both undirected")
     r = len(mapping_set)
-    if r * r > max_entries:
+    if r * r > DEFAULT_DENSE_ENTRY_CAP:
         raise MemoryGuardError(
-            f"|R|^2 = {r * r} exceeds the cap of {max_entries} entries; "
+            f"|R|^2 = {r * r} exceeds the cap of {DEFAULT_DENSE_ENTRY_CAP} entries; "
             "use the implicit operator (alignment_matvec) for full mapping sets"
         )
     rows, cols = mapping_set.rows, mapping_set.cols

@@ -91,7 +91,7 @@ def hungarian_max_weight(w: np.ndarray, allowed: np.ndarray | None = None) -> As
             rest = _best_completion(cost[i + 1 :, free_cols], target_size - len(pairs))
             if rest is None or fixed_weight + rest < optimum - tol:
                 raise AssertionError("lexicographic normalization lost the optimum")
-    return Assignment(pairs=tuple(pairs), total_weight=float(w[tuple(zip(*pairs))].sum()) if pairs else 0.0)
+    return Assignment(*np.array(pairs, dtype=np.int64).reshape(-1, 2).T, total_weight=float(w[tuple(zip(*pairs))].sum()) if pairs else 0.0)
 
 
 def _best_completion(cost: np.ndarray, need: int) -> float | None:
@@ -172,4 +172,4 @@ def greedy_matching(w: np.ndarray, allowed: np.ndarray | None = None) -> Assignm
             at[i] += 1 + int(ahead[0])
             j = int(order[i, at[i]])
             heapq.heappush(heap, (float(key[i, j]), i, j))
-    return Assignment(pairs=tuple(pairs), total_weight=total)
+    return Assignment(*np.array(pairs, dtype=np.int64).reshape(-1, 2).T, total_weight=total)

@@ -8,6 +8,7 @@ from specalign import experiments
 from specalign.cli import main
 from specalign.experiments import CSV_COLUMNS, aggregate_rows, run_cell, run_sweep, sweep_rows_to_csv
 from specalign.graph import load_edge_list
+from specalign.matching import Assignment
 from specalign.metrics import count_alignment
 
 
@@ -157,10 +158,10 @@ class TestAlign:
         assert code == 0
         record = json.loads(out)
         assert record["seed"] is None
-        pairs = [tuple(map(int, line.split())) for line in out_tsv.read_text().splitlines()]
+        rows, cols = zip(*(map(int, line.split()) for line in out_tsv.read_text().splitlines()))
         g1 = load_edge_list((pair / "pair_g1.el").read_text())
         g2 = load_edge_list((pair / "pair_g2.el").read_text())
-        counts = count_alignment(g1, g2, pairs)
+        counts = count_alignment(g1, g2, Assignment(rows, cols, 0.0))
         assert counts == (record["matches"], record["mismatches"], record["neutrals"])
 
     def test_brute_agrees_with_library(self, tmp_path, capsys):
@@ -243,6 +244,36 @@ class TestAlign:
         code, _, err = run_main(["eval", str(pair / "pair_g1.el"), str(pair / "pair_g2.el"), str(tsv)], capsys)
         assert code == 2
         assert "line 2" in err
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            # 20 digits: past int64 but below 2**64, and past 2**64
+            ("0\t0\n12345678901234567890\t1\n", "fit in int64"),
+            ("0\t99999999999999999999\n", "fit in int64"),
+            ("0\t0\n0\t1\n", "one-to-one"),
+            ("0\t1\n2\t1\n", "one-to-one"),
+            ("0\t0\n10\t1\n", "outside the graphs"),
+        ],
+    )
+    def test_eval_bad_mapping_exit_two(self, pair, capsys, lines, message):
+        tsv = pair / "bad.tsv"
+        tsv.write_text(lines)
+        code, _, err = run_main(["eval", str(pair / "pair_g1.el"), str(pair / "pair_g2.el"), str(tsv)], capsys)
+        assert code == 2
+        assert err.startswith("error:") and message in err
+
+    def test_eval_of_unsorted_mapping_matches_sorted(self, pair, capsys):
+        # the objective is summed in row order; summed in file order, these two orders read 10.2 and 10.200000000000001
+        cols = [4, 6, 2, 7, 3, 5, 9, 0, 8, 1]
+        records = []
+        for rows in (range(10), [2, 9, 3, 6, 0, 4, 8, 7, 5, 1]):
+            tsv = pair / "m.tsv"
+            tsv.write_text("".join(f"{i}\t{cols[i]}\n" for i in rows))
+            code, out, _ = run_main(["eval", str(pair / "pair_g1.el"), str(pair / "pair_g2.el"), str(tsv), "--gamma", "0.1"], capsys)
+            assert code == 0
+            records.append(json.loads(out))
+        assert records[0] == records[1]
 
     @pytest.mark.parametrize("bad_line", ["1 2 3", "1 x", "3 -1"])
     def test_restrict_bad_line_names_it(self, pair, capsys, bad_line):
@@ -380,6 +411,32 @@ class TestSweep:
         code, _, err = run_main(["sweep", str(cfg)], capsys)
         assert code == 1
         assert "Error:" in err
+
+    @pytest.mark.parametrize(
+        "spec, family, key",
+        [
+            ({"family": "er", "p": 0.3}, "'er'", "'n'"),
+            ({"family": "er", "n": 5}, "'er'", "'p'"),
+            ({"family": "regular", "n": 6}, "'regular'", "'d'"),
+            ({"family": "regular", "d": 2}, "'regular'", "'n'"),
+            ({"family": "powerlaw", "m": 2}, "'powerlaw'", "'n'"),
+            ({"family": "sbm", "density": [[0.3]]}, "'sbm'", "'block_sizes'"),
+            ({"family": "sbm", "block_sizes": [5]}, "'sbm'", "'density'"),
+        ],
+    )
+    def test_pair_missing_required_key_names_family_and_key(self, tmp_path, capsys, spec, family, key):
+        # every cell would fail with a KeyError; the config is refused before any runs
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**SMALL_CONFIG, "pair": spec}))
+        out = tmp_path / "out.csv"
+        code, _, err = run_main(["sweep", str(cfg), "--out", str(out)], capsys)
+        assert code == 1
+        assert family in err and key in err
+        assert not out.exists()
+
+    def test_er_sbm_pair_needs_no_keys(self):
+        rows = run_sweep({**SMALL_CONFIG, "pair": {"family": "er_sbm"}})
+        assert [row["error"] for row in rows] == [""]
 
     def test_misspelt_matching_names_method_and_value(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

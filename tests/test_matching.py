@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import specalign.matching
+from conftest import pairs_of
 from matching_oracle import _cycle_losses as dense_cycle_losses
 from matching_oracle import greedy_matching as oracle_greedy
 from matching_oracle import hungarian_max_weight as oracle_max_weight
@@ -225,10 +226,10 @@ class TestCycleLosses:
             return (np.arange(3), np.array([1, 0, 2])) if len(calls) == 1 else solve(cost)
 
         monkeypatch.setattr(specalign.matching, "_solve_lap", swapped_first)
-        seen = normalised_rows(monkeypatch)
+        seen = normalised_blocks(monkeypatch)
         a = hungarian_max_weight(w)
-        assert seen == [[0, 1, 2]]
-        assert a.pairs == ((0, 0), (1, 1), (2, 2))
+        assert seen == [w.tolist()]
+        assert pairs_of(a) == ((0, 0), (1, 1), (2, 2))
 
 
 class TestCandidates:
@@ -272,12 +273,12 @@ class TestCandidates:
 class TestHungarian:
     def test_diagonal_dominance(self):
         a = hungarian_max_weight(np.array([[3.0, 1.0], [1.0, 3.0]]))
-        assert a.pairs == ((0, 0), (1, 1))
+        assert pairs_of(a) == ((0, 0), (1, 1))
         assert a.total_weight == 6.0
 
     def test_single_cell(self):
         a = hungarian_max_weight(np.array([[1.0]]))
-        assert a.pairs == ((0, 0),)
+        assert pairs_of(a) == ((0, 0),)
         assert a.total_weight == 1.0
 
     def test_matches_brute_force_on_random_matrices(self):
@@ -292,21 +293,21 @@ class TestHungarian:
     def test_lexicographic_tie_break(self):
         # every assignment has the same total: expect ((0,0), (1,1))
         a = hungarian_max_weight(np.ones((2, 2)))
-        assert a.pairs == ((0, 0), (1, 1))
+        assert pairs_of(a) == ((0, 0), (1, 1))
         # all-equal 3x4: lowest columns win in row order
         a = hungarian_max_weight(np.full((3, 4), 2.0))
-        assert a.pairs == ((0, 0), (1, 1), (2, 2))
+        assert pairs_of(a) == ((0, 0), (1, 1), (2, 2))
 
     def test_tie_break_prefers_low_row_inclusion(self):
         # 3x2: one row stays unmatched; equal weights leave rows 0,1 matched
         a = hungarian_max_weight(np.ones((3, 2)))
-        assert a.pairs == ((0, 0), (1, 1))
+        assert pairs_of(a) == ((0, 0), (1, 1))
 
     def test_mask_restricts_cells(self):
         w = np.array([[9.0, 1.0], [9.0, 9.0]])
         allowed = np.array([[False, True], [True, True]])
         a = hungarian_max_weight(w, allowed)
-        assert a.pairs == ((0, 1), (1, 0))
+        assert pairs_of(a) == ((0, 1), (1, 0))
 
     def test_infeasible_mask_reports_deficient_set(self):
         w = np.ones((3, 3))
@@ -360,7 +361,7 @@ class TestHungarian:
         want = lexicographic_optimum(w, np.ones(shape, dtype=bool) if allowed is None else allowed)
         assume(want is not None)
         a = hungarian_max_weight(w, allowed)
-        assert a.pairs == want
+        assert pairs_of(a) == want
         assert a.total_weight == sum(w[i, j] for i, j in want)
 
     def test_rejects_nonfinite_allowed_weights(self):
@@ -378,14 +379,14 @@ class TestHungarian:
         assert a.total_weight == pytest.approx(brute_force_best(w), abs=1e-9)
 
 
-def normalised_rows(monkeypatch):
-    """Record the row subset of every normalisation the matcher runs."""
+def normalised_blocks(monkeypatch):
+    """Record the weights of every normalisation the matcher runs: its rows by its free columns."""
     seen = []
     normalise = specalign.matching._normalise
 
-    def spy(cost, candidates, rows, cols, held, optimum, tol):
-        seen.append(rows.tolist())
-        return normalise(cost, candidates, rows, cols, held, optimum, tol)
+    def spy(cost, candidates, held, optimum, tol):
+        seen.append((-cost).tolist())
+        return normalise(cost, candidates, held, optimum, tol)
 
     monkeypatch.setattr(specalign.matching, "_normalise", spy)
     return seen
@@ -421,7 +422,7 @@ class TestReducedCostFilter:
         w, allowed = data.draw(tied_instances(orientation))
         got, filtered_laps = solve_counting_laps(w, allowed)
         want, laps = solve_counting_laps(w, allowed, filtered=False)
-        assert got.pairs == want.pairs
+        assert pairs_of(got) == pairs_of(want)
         assert got.total_weight == want.total_weight
         assert filtered_laps <= laps
 
@@ -432,7 +433,7 @@ class TestReducedCostFilter:
         w = np.array([[0.5, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
         got, filtered_laps = solve_counting_laps(w)
         want, laps = solve_counting_laps(w, filtered=False)
-        assert got.pairs == want.pairs == ((1, 0), (2, 1), (3, 2))
+        assert pairs_of(got) == pairs_of(want) == ((1, 0), (2, 1), (3, 2))
         assert got.total_weight == want.total_weight == oracle_max_weight(w).total_weight
         assert (filtered_laps, laps) == (1, 4)
 
@@ -447,7 +448,7 @@ class TestTieBreakAgainstOracle:
         w, allowed = data.draw(tied_instances(orientation))
         want = oracle_max_weight(w, allowed)
         got = hungarian_max_weight(w, allowed)
-        assert got.pairs == want.pairs
+        assert pairs_of(got) == pairs_of(want)
         assert got.total_weight == want.total_weight
 
     @pytest.mark.parametrize(
@@ -466,31 +467,31 @@ class TestTieBreakAgainstOracle:
         # the pairs whose cycle loses exactly the tolerance are normalised;
         # the row no exchange can move stays pinned
         w = np.array(w)
-        seen = normalised_rows(monkeypatch)
+        seen = normalised_blocks(monkeypatch)
         got = hungarian_max_weight(w)
-        assert seen == [[0, 1]]
+        assert seen == [w[:2, :2].tolist()]
         want = oracle_max_weight(w)
-        assert (got.pairs, got.total_weight) == (want.pairs, want.total_weight)
+        assert (pairs_of(got), got.total_weight) == (pairs_of(want), want.total_weight)
 
     @pytest.mark.parametrize("shape", [(4, 4), (3, 5), (5, 3)])
     def test_equal_rows_are_all_flexible(self, monkeypatch, shape):
         w = np.tile(np.array([3.0, 1.0, 2.0, 0.5, 2.5])[: shape[1]], (shape[0], 1))
-        seen = normalised_rows(monkeypatch)
+        seen = normalised_blocks(monkeypatch)
         got = hungarian_max_weight(w)
-        assert seen == [list(range(shape[0]))]
+        assert seen == [w.tolist()]
         want = oracle_max_weight(w)
-        assert (got.pairs, got.total_weight) == (want.pairs, want.total_weight)
+        assert (pairs_of(got), got.total_weight) == (pairs_of(want), want.total_weight)
 
     def test_ulp_near_tie_is_flexible(self, monkeypatch):
         # 0.1 + 0.2 beats 0.3 + 0.0 by one ulp, so the LAP takes the
         # anti-diagonal, but the diagonal is within the tolerance and first
         w = np.array([[0.3, 0.1], [0.2, 0.0]])
-        seen = normalised_rows(monkeypatch)
+        seen = normalised_blocks(monkeypatch)
         got = hungarian_max_weight(w)
-        assert seen == [[0, 1]]
-        assert got.pairs == ((0, 0), (1, 1))
+        assert seen == [w.tolist()]
+        assert pairs_of(got) == ((0, 0), (1, 1))
         want = oracle_max_weight(w)
-        assert (got.pairs, got.total_weight) == (want.pairs, want.total_weight)
+        assert (pairs_of(got), got.total_weight) == (pairs_of(want), want.total_weight)
 
     @pytest.mark.parametrize("seed, shape", [(0, (40, 40)), (0, (50, 55)), (1, (60, 45))])
     def test_sparse_chain_matches_oracle(self, seed, shape):
@@ -508,7 +509,7 @@ class TestTieBreakAgainstOracle:
         w[i[:-1], i[1:]] = 1.0 + rng.integers(-1, 2, small - 1) / 10
         want = oracle_max_weight(w, allowed)
         got = hungarian_max_weight(w, allowed)
-        assert got.pairs == want.pairs
+        assert pairs_of(got) == pairs_of(want)
         assert got.total_weight == want.total_weight
 
     @pytest.mark.parametrize("orientation", ["wide", "square", "tall"])
@@ -523,7 +524,7 @@ class TestTieBreakAgainstOracle:
         everything = full_assignments(w, mask)
         best = max(weight for weight, _ in everything)
         tol = _TIE_TOL * max(1.0, abs(best))
-        col_of = dict(a.pairs)
+        col_of = dict(pairs_of(a))
         key = [col_of.get(i, np.inf) for i in range(w.shape[0])]
         assert len(a) == min(w.shape)
         assert a.total_weight >= best - 1.001 * tol
@@ -545,7 +546,7 @@ class TestTieBreakAgainstOracle:
     def test_completion_summed_twice_keeps_the_optimum(self, w, pairs):
         # A completion accepted at one row sums to one ulp below the threshold
         # when re-solved at the next; the held assignment is not re-solved.
-        assert hungarian_max_weight(np.array(w)).pairs == pairs
+        assert pairs_of(hungarian_max_weight(np.array(w))) == pairs
 
     @pytest.mark.parametrize("shape", [(4, 4), (3, 5), (5, 3)])
     def test_all_equal_needs_one_lap(self, monkeypatch, shape):
@@ -559,7 +560,7 @@ class TestTieBreakAgainstOracle:
 
         monkeypatch.setattr(specalign.matching, "linear_sum_assignment", counting)
         a = hungarian_max_weight(np.ones(shape))
-        assert a.pairs == tuple((i, i) for i in range(min(shape)))
+        assert pairs_of(a) == tuple((i, i) for i in range(min(shape)))
         assert calls == [shape]
 
     def test_unique_optimum_needs_one_lap(self, monkeypatch):
@@ -574,14 +575,14 @@ class TestTieBreakAgainstOracle:
 
         monkeypatch.setattr(specalign.matching, "linear_sum_assignment", counting)
         a = hungarian_max_weight(w)
-        assert a.pairs == tuple((i, i) for i in range(30))
+        assert pairs_of(a) == tuple((i, i) for i in range(30))
         assert calls == [(30, 30)]
 
 
 class TestGreedy:
     def test_hand_example(self):
         a = greedy_matching(np.array([[3.0, 2.0], [2.0, 0.0]]))
-        assert a.pairs == ((0, 0), (1, 1))
+        assert pairs_of(a) == ((0, 0), (1, 1))
         assert a.total_weight == 3.0
 
     def test_diagonal_matrix_is_optimal(self):
@@ -601,11 +602,11 @@ class TestGreedy:
         w = np.ones((2, 2))
         allowed = np.array([[True, False], [True, False]])
         a = greedy_matching(w, allowed)
-        assert a.pairs == ((0, 0),)
+        assert pairs_of(a) == ((0, 0),)
 
     def test_deterministic_tie_break(self):
         a = greedy_matching(np.full((2, 3), 1.0))
-        assert a.pairs == ((0, 0), (1, 1))
+        assert pairs_of(a) == ((0, 0), (1, 1))
 
     @given(st.data())
     @settings(max_examples=150)
@@ -629,7 +630,7 @@ class TestGreedy:
             allowed[:, data.draw(st.lists(st.integers(0, shape[1] - 1), max_size=2))] = False
         a = greedy_matching(w, allowed)
         pairs, total = reference_greedy(w, allowed)
-        assert a.pairs == pairs
+        assert pairs_of(a) == pairs
         assert a.total_weight == total
 
     @given(st.data())
@@ -645,7 +646,7 @@ class TestGreedy:
         if allowed is not None:
             allowed[data.draw(st.lists(st.integers(0, shape[0] - 1), max_size=3))] = False
         got, want = greedy_matching(w, allowed), oracle_greedy(w, allowed)
-        assert got.pairs == want.pairs
+        assert pairs_of(got) == pairs_of(want)
         assert got.total_weight == want.total_weight
 
     @given(
@@ -668,7 +669,7 @@ class TestGreedy:
         elif mask is not None:
             allowed = rng.random(shape) < mask
         got, want = greedy_matching(w, allowed), oracle_greedy(w, allowed)
-        assert got.pairs == want.pairs
+        assert pairs_of(got) == pairs_of(want)
         assert got.total_weight == want.total_weight
 
     def test_disallowed_ties_skip_the_stable_resort(self, monkeypatch):
@@ -694,7 +695,7 @@ class TestGreedy:
         assert resorted == [1]
         monkeypatch.undo()
         want = oracle_greedy(w, allowed)
-        assert got.pairs == want.pairs
+        assert pairs_of(got) == pairs_of(want)
         assert got.total_weight == want.total_weight
 
     @pytest.mark.parametrize("shape, density", [((150, 150), None), ((200, 120), 0.1), ((120, 200), 0.1)])
@@ -704,15 +705,58 @@ class TestGreedy:
         allowed = None if density is None else rng.random(shape) < density
         a = greedy_matching(w, allowed)
         pairs, total = reference_greedy(w, allowed)
-        assert a.pairs == pairs
+        assert pairs_of(a) == pairs
         assert a.total_weight == total
 
 
 class TestAssignment:
     def test_rejects_duplicate_rows(self):
         with pytest.raises(ValueError, match="at most once"):
-            Assignment(pairs=((0, 0), (0, 1)), total_weight=0.0)
+            Assignment([0, 0], [0, 1], total_weight=0.0)
+
+    def test_rejects_duplicate_columns(self):
+        with pytest.raises(ValueError, match="at most once"):
+            Assignment([2, 0, 1], [1, 0, 1], total_weight=0.0)
 
     def test_pairs_sorted(self):
-        a = Assignment(pairs=((1, 0), (0, 1)), total_weight=0.0)
-        assert a.pairs == ((0, 1), (1, 0))
+        a = Assignment([1, 0], [0, 1], total_weight=0.0)
+        assert pairs_of(a) == ((0, 1), (1, 0))
+
+    @pytest.mark.parametrize("rows, cols", [([0, 1], [0]), ([[0, 1]], [[0, 1]]), (0, 0)])
+    def test_rejects_unequal_or_not_1d(self, rows, cols):
+        with pytest.raises(ValueError, match="1-D of equal length"):
+            Assignment(rows, cols, total_weight=0.0)
+
+    @pytest.mark.parametrize("rows, cols", [([0, -1], [0, 1]), ([0, 1], [-3, 1])])
+    def test_rejects_negative_ids(self, rows, cols):
+        # numpy would wrap -1 to the last node
+        with pytest.raises(ValueError, match="non-negative"):
+            Assignment(rows, cols, total_weight=0.0)
+
+    @pytest.mark.parametrize("big", [2**63, 12345678901234567890, 10**19 * 9, 99999999999999999999])
+    def test_rejects_ids_past_int64(self, big):
+        # a uint64 array below 2**64, an object array above: a ValueError either way, not an OverflowError
+        for rows, cols in (([0, big], [0, 1]), ([0, 1], [big, 1]), (np.array([0, big], dtype=object), [0, 1])):
+            with pytest.raises(ValueError, match="fit in int64"):
+                Assignment(rows, cols, total_weight=0.0)
+
+    def test_largest_int64_id_accepted(self):
+        big = np.iinfo(np.int64).max
+        a = Assignment(np.array([big, 0], dtype=object), [0, big], total_weight=0.0)
+        assert pairs_of(a) == ((0, big), (big, 0))
+
+    def test_read_only_int64_copies(self):
+        rows, cols = np.array([2, 0], dtype=np.int32), np.array([0, 1], dtype=np.int32)
+        a = Assignment(rows, cols, total_weight=1.5)
+        assert a.rows.dtype == a.cols.dtype == np.int64
+        assert not a.rows.flags.writeable and not a.cols.flags.writeable
+        rows[0] = 7
+        assert pairs_of(a) == ((0, 1), (2, 0)) and a.total_weight == 1.5
+        with pytest.raises(ValueError):
+            a.rows[0] = 5
+
+    @pytest.mark.parametrize("empty", [[], (), np.empty(0, dtype=np.int64), np.empty(0, dtype=object)])
+    def test_empty_mapping(self, empty):
+        a = Assignment(empty, empty, total_weight=0.0)
+        assert len(a) == 0 and pairs_of(a) == ()
+        assert a.rows.dtype == a.cols.dtype == np.int64

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from specalign.align import eigen_align
-from specalign.matching import greedy_matching, hungarian_max_weight
+from specalign.matching import Assignment, greedy_matching, hungarian_max_weight
 from specalign.metrics import generalized_objective
 from specalign.randgen import erdos_renyi, random_permutation, sample_mapping_set
 from specalign.score import build_alignment_matrix, from_alpha
@@ -80,5 +80,5 @@ def test_generalized_objective_holds_one_block():
     # the looked-up products; the int8 blocks and their code are an eighth each
     n = 300
     g1, g2 = erdos_renyi(n, 0.05, 0), erdos_renyi(n, 0.05, 1)
-    mapping = [(i, i) for i in range(n)]
+    mapping = Assignment(np.arange(n), np.arange(n), 0.0)
     assert traced_peak(generalized_objective, g1, g2, mapping, 0.2) / (8 * n * n) <= 1.5

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import pairs_of
 from specalign.graph import Graph, Permutation
+from specalign.matching import Assignment
 from specalign.metrics import (
     _mapped_blocks,
     count_alignment,
@@ -26,8 +28,16 @@ def oracle_generalized_objective(g1: Graph, g2: Graph, mapping, gamma: float) ->
     return float((m1 * m2).sum())
 
 
+def oracle_node_accuracy(pairs, truth: Permutation) -> float:
+    """Test-only oracle: the accuracy as it was before the array lookup, one pair at a time."""
+    if not pairs:
+        return 0.0
+    hits = sum(1 for i, j in pairs if i < truth.n and int(truth.mapping[i]) == j)
+    return hits / len(pairs)
+
+
 TRIANGLE = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
-IDENTITY3 = tuple((i, i) for i in range(3))
+IDENTITY3 = Assignment(np.arange(3), np.arange(3), 0.0)
 
 
 def random_graph(n, p, seed, directed):
@@ -50,18 +60,18 @@ class TestCountAlignment:
 
     def test_edgeless_pair(self):
         g = Graph.empty(4)
-        mapping = tuple((i, i) for i in range(4))
+        mapping = Assignment(np.arange(4), np.arange(4), 0.0)
         assert count_alignment(g, g, mapping) == (0, 0, 6)
 
     def test_partial_mapping(self):
         g1 = Graph.from_edges(3, [(0, 1)])
         g2 = Graph.from_edges(3, [(1, 2)])
-        assert count_alignment(g1, g2, ((0, 1), (1, 2))) == (1, 0, 0)
+        assert count_alignment(g1, g2, Assignment([0, 1], [1, 2], 0.0)) == (1, 0, 0)
 
     def test_directed_counts_not_halved(self):
         g1 = Graph.from_edges(2, [(0, 1)], directed=True)
         g2 = Graph.from_edges(2, [(0, 1), (1, 0)], directed=True)
-        mapping = ((0, 0), (1, 1))
+        mapping = Assignment([0, 1], [0, 1], 0.0)
         matches, mismatches, neutrals = count_alignment(g1, g2, mapping)
         assert (matches, mismatches, neutrals) == (1, 1, 0)
 
@@ -75,13 +85,14 @@ class TestCountAlignment:
         ids=["count", "objective", "accuracy"],
     )
     def test_negative_node_rejected(self, measure):
-        # numpy would wrap -1 to the last node
+        # numpy would wrap -1 to the last node; a measure takes only an
+        # Assignment, whose constructor rejects it
         with pytest.raises(ValueError, match="non-negative"):
-            measure(((0, 0), (1, -1)))
+            measure(Assignment([0, 1], [0, -1], 0.0))
 
     def test_not_one_to_one_rejected(self):
         with pytest.raises(ValueError, match="one-to-one"):
-            count_alignment(TRIANGLE, TRIANGLE, ((0, 0), (1, 0)))
+            count_alignment(TRIANGLE, TRIANGLE, Assignment([0, 1], [0, 0], 0.0))
 
     @given(st.integers(0, 5000))
     @settings(max_examples=30)
@@ -91,8 +102,7 @@ class TestCountAlignment:
         g1 = erdos_renyi(int(n1), 0.5, seed)
         g2 = erdos_renyi(int(n2), 0.5, seed + 1)
         m = min(g1.n, g2.n)
-        cols = rng.permutation(g2.n)[:m]
-        mapping = tuple((i, int(cols[i])) for i in range(m))
+        mapping = Assignment(np.arange(m), rng.permutation(g2.n)[:m], 0.0)
         matches, mismatches, neutrals = count_alignment(g1, g2, mapping)
         assert matches + mismatches + neutrals == m * (m - 1) // 2
 
@@ -108,11 +118,11 @@ class TestCountAlignment:
         m = min(m, n1, n2)
         g1 = random_graph(n1, p1, seed, directed)
         g2 = random_graph(n2, p2, seed + 1, directed)
-        mapping = tuple(zip(rng.permutation(n1)[:m].tolist(), rng.permutation(n2)[:m].tolist()))
+        mapping = Assignment(rng.permutation(n1)[:m], rng.permutation(n2)[:m], 0.0)
         ordered = [0, 0, 0]  # matches, mismatches, neutrals
         unordered = [0, 0, 0]
-        for a, (i, j) in enumerate(mapping):
-            for b, (r, t) in enumerate(mapping):
+        for a, (i, j) in enumerate(pairs_of(mapping)):
+            for b, (r, t) in enumerate(pairs_of(mapping)):
                 if a == b:
                     continue
                 e1, e2 = g1.adjacency[i, r], g2.adjacency[j, t]
@@ -143,7 +153,7 @@ class TestGeneralizedObjective:
 
     def test_out_of_range_node_rejected(self):
         with pytest.raises(ValueError, match="outside"):
-            generalized_objective(TRIANGLE, TRIANGLE, ((0, 0), (1, 3)), 0.0)
+            generalized_objective(TRIANGLE, TRIANGLE, Assignment([0, 1], [0, 3], 0.0), 0.0)
 
     def test_affine_relation_to_score_objective(self):
         # trace objective == score objective / D + pair and diagonal offsets,
@@ -155,7 +165,7 @@ class TestGeneralizedObjective:
             g2 = erdos_renyi(n, 0.5, int(rng.integers(2**31)))
             s = ScoreScheme(*sorted(rng.random(3) * 5 + 0.1, reverse=True))
             perm = random_permutation(n, int(rng.integers(2**31)))
-            mapping = tuple((i, int(perm.mapping[i])) for i in range(n))
+            mapping = Assignment(np.arange(n), perm.mapping, 0.0)
             m_ord, mm_ord, n_ord = count_alignment_ordered(g1, g2, mapping)
             score_obj = s.s1 * m_ord + s.s2 * n_ord + s.s3 * mm_ord
             d = s.s1 + s.s2 - 2 * s.s3
@@ -167,13 +177,13 @@ class TestGeneralizedObjective:
 
     @given(seed=st.integers(0, 2**32), directed=st.booleans(), gamma=st.sampled_from([0.0, 0.2, 0.499]))
     def test_table_lookup_is_the_expression_bit_for_bit(self, seed, directed, gamma):
-        # graphs of unequal sizes, mapped partially or fully, in a random pair order
+        # graphs of unequal sizes, mapped partially or fully, by random rows and columns
         rng = np.random.default_rng(seed)
         n1, n2 = rng.choice(np.arange(1, 60), size=2, replace=False).tolist()
         g1 = random_graph(n1, rng.random(), seed, directed)
         g2 = random_graph(n2, rng.random(), seed + 1, directed)
         m = int(rng.integers(0, min(n1, n2) + 1))
-        mapping = list(zip(rng.permutation(n1)[:m].tolist(), rng.permutation(n2)[:m].tolist()))
+        mapping = Assignment(rng.permutation(n1)[:m], rng.permutation(n2)[:m], 0.0)
         want = oracle_generalized_objective(g1, g2, mapping, gamma)
         assert generalized_objective(g1, g2, mapping, gamma) == want
 
@@ -181,17 +191,30 @@ class TestGeneralizedObjective:
 class TestNodeAccuracy:
     def test_exact(self):
         truth = Permutation.identity(4)
-        assert node_accuracy(tuple((i, i) for i in range(4)), truth) == 1.0
+        assert node_accuracy(Assignment(np.arange(4), np.arange(4), 0.0), truth) == 1.0
 
     def test_disjoint(self):
         truth = Permutation.identity(4)
-        mapping = ((0, 1), (1, 2), (2, 3), (3, 0))
+        mapping = Assignment([0, 1, 2, 3], [1, 2, 3, 0], 0.0)
         assert node_accuracy(mapping, truth) == 0.0
 
     def test_half(self):
         truth = Permutation.identity(4)
-        mapping = ((0, 0), (1, 1), (2, 3), (3, 2))
+        mapping = Assignment([0, 1, 2, 3], [0, 1, 3, 2], 0.0)
         assert node_accuracy(mapping, truth) == 0.5
+
+    @given(seed=st.integers(0, 2**32), m=st.integers(0, 12))
+    @example(seed=0, m=0)
+    def test_matches_per_pair_oracle(self, seed, m):
+        # partial mappings whose rows may lie past the truth's size
+        rng = np.random.default_rng(seed)
+        n, n1, n2 = rng.integers(1, 13, size=3).tolist()
+        m = min(m, n1, n2)
+        truth = random_permutation(n, seed)
+        mapping = Assignment(rng.permutation(n1)[:m], rng.permutation(n2)[:m], 0.0)
+        got = node_accuracy(mapping, truth)
+        assert type(got) is float
+        assert got == oracle_node_accuracy(pairs_of(mapping), truth)
 
 
 class TestExpectedAlignmentMatrix:

@@ -206,9 +206,10 @@ class TestBuildAlignmentMatrix:
         assert a.min() > 0
 
     def test_memory_guard(self):
-        g = Graph.empty(10)
+        # 71^2 pairs square to just over the default cap; the guard raises before allocating
+        g = Graph.empty(71)
         with pytest.raises(MemoryGuardError, match="implicit"):
-            build_alignment_matrix(g, g, ScoreScheme(4, 2, 1), MappingSet.full(10, 10), max_entries=100)
+            build_alignment_matrix(g, g, ScoreScheme(4, 2, 1), MappingSet.full(71, 71))
 
     def test_restricted_submatrix_consistency(self):
         g1 = erdos_renyi(4, 0.5, 5)
