@@ -229,7 +229,8 @@ def align_ea(g1_path, g2_path, alpha, eps, s1, s2, s3, matching, restrict, seed,
         raise click.UsageError("provide --alpha or all of --s1/--s2/--s3")
     mapping_set = None
     if restrict is not None:
-        pairs = np.array(sorted(set(_read_pairs(restrict)))).reshape(-1, 2)
+        # object ids, as in eval: an id past int64 reaches the range check as written
+        pairs = np.array(sorted(set(_read_pairs(restrict))), dtype=object).reshape(-1, 2)
         mapping_set = MappingSet(g1.n, g2.n, rows=pairs[:, 0], cols=pairs[:, 1])
     if dump_alignment:
         dense_set = MappingSet.full(g1.n, g2.n) if mapping_set is None else mapping_set

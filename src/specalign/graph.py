@@ -161,7 +161,7 @@ def parse_id_pair(line: str, lineno: int) -> tuple[int, int]:
     return u, v
 
 
-def load_edge_list(text: str | Iterable[str]) -> Graph:
+def load_edge_list(text: str) -> Graph:
     """Parse an edge-list document into a :class:`Graph`.
 
     Format: one "u v" pair of non-negative integer node ids per line.
@@ -172,18 +172,13 @@ def load_edge_list(text: str | Iterable[str]) -> Graph:
     :func:`write_edge_list` so isolated trailing nodes survive a
     round-trip).
     """
-    if isinstance(text, str):
-        lines = text.splitlines()
-    else:
-        lines = [line.rstrip("\n") for line in text]
-
     directed = False
     declared_n: int | None = None
     edges: list[tuple[int, int]] = []
     max_id = -1
     saw_directive_after_edges = False
 
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue

@@ -3,7 +3,8 @@
 Counting conventions: for undirected graphs, matches/mismatches/neutrals
 are unordered-pair counts (trace values halved, diagonal excluded); the
 ordered-trace values are also available for callers reproducing the raw
-trace identities. Directed graphs count each direction separately.
+trace identities. Directed graphs count each direction separately. The
+counts and the objective read the edge code of :func:`score.edge_codes`.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import numpy as np
 
 from .graph import Graph, Permutation
 from .matching import Assignment
+from .score import edge_codes
 
 __all__ = [
     "MeanFieldModel",
@@ -26,20 +28,20 @@ __all__ = [
     "mean_field_ratio",
 ]
 
-def _mapped_blocks(g1: Graph, g2: Graph, mapping: Assignment) -> tuple[np.ndarray, np.ndarray]:
-    """Int8 adjacency blocks of the mapped nodes of each graph, in row order."""
+def _mapped_codes(g1: Graph, g2: Graph, mapping: Assignment) -> np.ndarray:
+    """Edge codes of the mapped node pairs (:func:`score.edge_codes`), in row order."""
     rows, cols = mapping.rows, mapping.cols
     if len(rows) and (rows[-1] >= g1.n or cols.max() >= g2.n):
         raise ValueError("mapping references nodes outside the graphs")
-    return g1.adjacency[:, rows][rows], g2.adjacency[:, cols][cols]
+    return edge_codes(g1, g2, rows, cols)
 
 
 def count_alignment_ordered(g1: Graph, g2: Graph, mapping: Assignment) -> tuple[int, int, int]:
     """Ordered-pair (match, mismatch, neutral) counts over mapped nodes, diagonal excluded."""
-    b1, b2 = _mapped_blocks(g1, g2, mapping)
-    # code 2*b1 + b2: 0 neutral, 1 and 2 mismatch, 3 match; the m diagonal cells are neutral
-    neutral, only_g2, only_g1, match = np.bincount((2 * b1 + b2).ravel(), minlength=4).tolist()
-    return match, only_g1 + only_g2, neutral - len(b1)
+    code = _mapped_codes(g1, g2, mapping)
+    match, neutral = (int(np.count_nonzero(code == c)) for c in (3, 0))
+    # the m diagonal cells are neutral
+    return match, code.size - match - neutral, neutral - len(code)
 
 
 def count_alignment(g1: Graph, g2: Graph, mapping: Assignment) -> tuple[int, int, int]:
@@ -61,15 +63,10 @@ def generalized_objective(g1: Graph, g2: Graph, mapping: Assignment, gamma: floa
     """Trace objective Tr((G1 - gamma*J) X (G2 - gamma*J) X^T) of a mapping."""
     if not 0 <= gamma < 0.5:
         raise ValueError(f"gamma must lie in [0, 1/2), got {gamma}")
-    b1, b2 = _mapped_blocks(g1, g2, mapping)
-    # each entry (b1 - gamma) * (b2 - gamma) is one of four products, looked
-    # up by the code 2*b1 + b2 instead of computed on float copies
+    # each entry (e1 - gamma) * (e2 - gamma) is one of four products, looked
+    # up by its edge code instead of computed on float copies
     table = np.array([(e1 - gamma) * (e2 - gamma) for e1 in (0.0, 1.0) for e2 in (0.0, 1.0)])
-    code = b1  # formed in b1's block, a fresh gather
-    code *= 2
-    code += b2
-    del b1, b2
-    return float(table[code].sum())
+    return float(table[_mapped_codes(g1, g2, mapping)].sum())
 
 
 def node_accuracy(mapping: Assignment, truth: Permutation) -> float:

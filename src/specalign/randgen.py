@@ -154,7 +154,6 @@ def noise_model_I(g: Graph, p_e: float, seed: int) -> Graph:
     rng = np.random.default_rng(seed)
     q = _symmetric_bernoulli(g.n, p_e, rng)
     flipped = g.adjacency * (1 - q) + (1 - g.adjacency) * q
-    np.fill_diagonal(flipped, 0)
     return Graph(flipped)
 
 
@@ -177,7 +176,6 @@ def noise_model_II(g: Graph, p_e: float, p: float, seed: int) -> Graph:
     q = _symmetric_bernoulli(g.n, p_e, rng)
     q2 = _symmetric_bernoulli(g.n, p_e2, rng)
     noisy = g.adjacency * (1 - q) + (1 - g.adjacency) * q2
-    np.fill_diagonal(noisy, 0)
     return Graph(noisy)
 
 

@@ -4,9 +4,10 @@ The alignment matrix A lives on candidate node mappings: entry
 A[(i,j'),(r,s')] scores the pair of mappings by whether the underlying
 edges agree (match), disagree (mismatch), or are both absent (neutral).
 Only :func:`alignment_entry` and :func:`directed_alignment_entry` compute
-these scores. A is available both as a dense matrix over a mapping set
-(two index arrays of its pairs), whose entries are looked up from those
-rules, and as a matrix-free operator over the full product set.
+these scores, and only :func:`edge_codes` forms the int8 edge code that
+names a pair's class. A is available both as a dense matrix over a mapping
+set (two index arrays of its pairs), whose entries are looked up from those
+rules by edge code, and as a matrix-free operator over the full product set.
 """
 
 from __future__ import annotations
@@ -179,21 +180,26 @@ def build_alignment_matrix(g1: Graph, g2: Graph, s: ScoreScheme, mapping_set: Ma
             f"|R|^2 = {r * r} exceeds the cap of {DEFAULT_DENSE_ENTRY_CAP} entries; "
             "use the implicit operator (alignment_matvec) for full mapping sets"
         )
-    rows, cols = mapping_set.rows, mapping_set.cols
-    # one axis at a time, columns first, so the blocks come out C-ordered
-    # as from np.ix_, at a fraction of its cost
-    e1 = g1.adjacency[:, rows][rows]
-    e2 = g2.adjacency[:, cols][cols]
+    code = edge_codes(g1, g2, mapping_set.rows, mapping_set.cols)
     if g1.directed:
-        code = 8 * e1 + 4 * e1.T + 2 * e2 + e2.T
-        table = [directed_alignment_entry(s, *bits) for bits in itertools.product((0, 1), repeat=4)]
+        code = 4 * code + code.T  # bits (g1 forward, g2 forward, g1 backward, g2 backward)
+        table = [directed_alignment_entry(s, f1, b1, f2, b2) for f1, f2, b1, b2 in itertools.product((0, 1), repeat=4)]
     else:
-        code = e1  # formed in e1's block, a fresh gather
-        code *= 2
-        code += e2
         table = [alignment_entry(s, *bits) for bits in itertools.product((0, 1), repeat=2)]
-    del e1, e2  # only the code outlives the gather
     return np.array(table)[code]
+
+
+def edge_codes(g1: Graph, g2: Graph, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Int8 block whose entry (p, q) is ``2 * g1[rows[p], rows[q]] + g2[cols[p], cols[q]]``.
+
+    Code 3 is a match, 1 and 2 a mismatch, 0 neutral. Gathers one axis at a
+    time, columns first, so the blocks come out C-ordered as from np.ix_ at
+    a fraction of its cost, and forms the code in g1's fresh block.
+    """
+    code = g1.adjacency[:, rows][rows]
+    code *= 2
+    code += g2.adjacency[:, cols][cols]
+    return code
 
 
 def alignment_matvec(g1: Graph, g2: Graph, s: ScoreScheme, y: np.ndarray) -> np.ndarray:

@@ -298,14 +298,16 @@ class TestAlign:
         assert "argmax" not in err
 
     def test_restrict_out_of_range_pair_names_it(self, pair, capsys):
-        r_file = pair / "allowed.txt"
-        r_file.write_text("0\t0\n10\t3\n1\t1\n")
-        code, _, err = run_main(
-            ["align", "ea", str(pair / "pair_g1.el"), str(pair / "pair_g2.el"), "--alpha", "10", "--restrict", str(r_file)],
-            capsys,
-        )
-        assert code == 2
-        assert "pair (10, 3) out of range for sizes (10, 10)" in err
+        # small ids next to one past int64 would make a float array of the pairs
+        for text, named in [("0\t0\n10\t3\n1\t1\n", "10, 3"), ("0\t0\n12345678901234567891\t1\n", "12345678901234567891, 1")]:
+            r_file = pair / "allowed.txt"
+            r_file.write_text(text)
+            code, _, err = run_main(
+                ["align", "ea", str(pair / "pair_g1.el"), str(pair / "pair_g2.el"), "--alpha", "10", "--restrict", str(r_file)],
+                capsys,
+            )
+            assert code == 2
+            assert f"pair ({named}) out of range for sizes (10, 10)" in err
 
 
 class TestSweep:

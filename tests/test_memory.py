@@ -12,7 +12,7 @@ import pytest
 
 from specalign.align import eigen_align
 from specalign.matching import Assignment, greedy_matching, hungarian_max_weight
-from specalign.metrics import generalized_objective
+from specalign.metrics import count_alignment, generalized_objective
 from specalign.randgen import erdos_renyi, random_permutation, sample_mapping_set
 from specalign.score import build_alignment_matrix, from_alpha
 
@@ -82,3 +82,11 @@ def test_generalized_objective_holds_one_block():
     g1, g2 = erdos_renyi(n, 0.05, 0), erdos_renyi(n, 0.05, 1)
     mapping = Assignment(np.arange(n), np.arange(n), 0.0)
     assert traced_peak(generalized_objective, g1, g2, mapping, 0.2) / (8 * n * n) <= 1.5
+
+
+def test_count_alignment_holds_half_a_block():
+    # the int8 code, a second int8 gather and one bool comparison: 3 bytes a cell pair
+    n = 300
+    g1, g2 = erdos_renyi(n, 0.05, 0), erdos_renyi(n, 0.05, 1)
+    mapping = Assignment(np.arange(n), np.arange(n), 0.0)
+    assert traced_peak(count_alignment, g1, g2, mapping) / (8 * n * n) <= 0.5

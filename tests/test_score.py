@@ -15,6 +15,7 @@ from specalign.score import (
     alignment_matvec,
     build_alignment_matrix,
     directed_alignment_entry,
+    edge_codes,
     from_alpha,
 )
 
@@ -168,6 +169,22 @@ class TestDirectedEntry:
         expected = 4 * p**3 * (1 - p)
         sd = np.sqrt(expected * (1 - expected) / n)
         assert abs(inconsistent.mean() - expected) <= 4 * sd
+
+
+class TestEdgeCodes:
+    @given(seed=st.integers(0, 2**32), directed=st.booleans())
+    def test_is_the_two_gathered_blocks(self, seed, directed):
+        # a random subset of the full set, so rows and columns repeat, in random order
+        rng = np.random.default_rng(seed)
+        (n1, n2), (p1, p2) = rng.integers(1, 9, size=2).tolist(), rng.random(2)
+        g1 = random_graph(n1, p1, seed, directed)
+        g2 = random_graph(n2, p2, seed + 1, directed)
+        full = MappingSet.full(n1, n2)
+        keep = rng.permutation(len(full))[: rng.integers(len(full) + 1)]
+        rows, cols = full.rows[keep], full.cols[keep]
+        code = edge_codes(g1, g2, rows, cols)
+        assert code.dtype == np.int8
+        assert np.array_equal(code, 2 * g1.adjacency[np.ix_(rows, rows)] + g2.adjacency[np.ix_(cols, cols)])
 
 
 class TestBuildAlignmentMatrix:
