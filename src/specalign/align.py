@@ -31,8 +31,11 @@ __all__ = [
     "rounding_gap_bound",
     "brute_force_qap",
     "expected_objective_gap",
+    "MATCHING_MODES",
 ]
 
+# How both solvers round: the lexicographically smallest optimum, or greedy.
+MATCHING_MODES = ("exact", "greedy")
 BRUTE_FORCE_MAX_N = 10
 SIGN_ENUM_MAX_RANK = 12
 
@@ -109,8 +112,7 @@ def eigen_align(
     matching weights on the allowed cells, and the matching step is exact
     (``"exact"``) or greedy (``"greedy"``).
     """
-    if matching not in ("exact", "greedy"):
-        raise ValueError(f"matching must be 'exact' or 'greedy', got {matching!r}")
+    _check_matching(matching)
     if g1.directed != g2.directed:
         raise ValueError("graphs must be both directed or both undirected")
     n1, n2 = g1.n, g2.n
@@ -194,8 +196,7 @@ def low_rank_align(
     arbitrary basis of its eigenspace, the padded lines really differ,
     and the padded matrix is matched as it is.
     """
-    if matching not in ("exact", "greedy"):
-        raise ValueError(f"matching must be 'exact' or 'greedy', got {matching!r}")
+    _check_matching(matching)
     if g1.directed or g2.directed:
         raise ValueError("low-rank alignment supports undirected graphs only")
     if not 0 <= gamma < 0.5:
@@ -230,6 +231,11 @@ def low_rank_align(
     rows, cols = winner.rows[real], winner.cols[real]
     trimmed = Assignment(rows, cols, total_weight=float(sum(affinity[rows, cols].tolist())))
     return _finish(g1, g2, trimmed, gamma, "lra", rank_k, None)
+
+
+def _check_matching(matching: str) -> None:
+    if matching not in MATCHING_MODES:
+        raise ValueError(f"matching must be {' or '.join(map(repr, MATCHING_MODES))}, got {matching!r}")
 
 
 def _exact_rounding(affinity: np.ndarray, n1: int, n2: int) -> Assignment:

@@ -16,8 +16,9 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .align import brute_force_qap, eigen_align, low_rank_align
+from .align import MATCHING_MODES, brute_force_qap, eigen_align, low_rank_align
 from .experiments import (
+    NOISE_MODELS,
     ConfigError,
     cell_record,
     generate_graph,
@@ -131,7 +132,7 @@ def generate_powerlaw(n, m, n0, seed, out):
 @click.option("--d", type=int, default=5, show_default=True, help="Degree (regular).")
 @click.option("--m", type=int, default=3, show_default=True, help="Edges per new node (powerlaw).")
 @click.option("--n0", type=int, default=5, show_default=True, help="Seed subgraph size (powerlaw).")
-@click.option("--noise", type=click.Choice(["none", "model1", "model2"]), default="none", show_default=True)
+@click.option("--noise", type=click.Choice(NOISE_MODELS), default="none", show_default=True)
 @click.option("--pe", type=float, default=0.0, show_default=True, help="Noise probability.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=str, default="pair", show_default=True, help="Output path prefix.")
@@ -211,7 +212,7 @@ def align():
 @click.option("--s1", type=float, default=None, help="Explicit match score.")
 @click.option("--s2", type=float, default=None, help="Explicit neutral score.")
 @click.option("--s3", type=float, default=None, help="Explicit mismatch score.")
-@click.option("--matching", type=click.Choice(["exact", "greedy"]), default="exact", show_default=True)
+@click.option("--matching", type=click.Choice(MATCHING_MODES), default="exact", show_default=True)
 @click.option("--restrict", type=str, default=None, help="Allowed-pairs file (two columns).")
 @click.option("--seed", type=int, default=0, show_default=True, help="Eigensolver start seed.")
 @click.option("--truth", type=str, default=None, help="Sidecar JSON with the true permutation.")
@@ -245,7 +246,7 @@ def align_ea(g1_path, g2_path, alpha, eps, s1, s2, s3, matching, restrict, seed,
 @click.argument("g2_path")
 @click.option("--gamma", type=float, required=True)
 @click.option("--rank", type=int, default=3, show_default=True)
-@click.option("--matching", type=click.Choice(["exact", "greedy"]), default="exact", show_default=True)
+@click.option("--matching", type=click.Choice(MATCHING_MODES), default="exact", show_default=True)
 @click.option("--truth", type=str, default=None)
 @click.option("--out", type=str, default=None)
 def align_lra(g1_path, g2_path, gamma, rank, matching, truth, out):

@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .align import SIGN_ENUM_MAX_RANK, brute_force_qap, eigen_align, low_rank_align
+from .align import MATCHING_MODES, SIGN_ENUM_MAX_RANK, brute_force_qap, eigen_align, low_rank_align
 from .graph import Graph, Permutation, apply_permutation
 from .metrics import node_accuracy
 from .randgen import (
@@ -243,8 +243,9 @@ def validate_config(config: dict) -> None:
                 raise ConfigError(f"gamma {gamma} outside [0, 0.5)")
             if method.get("name") == "ea" and gamma <= 0:
                 raise ConfigError("ea gammas must be positive (gamma maps to alpha)")
-        if method.get("matching", "exact") not in ("exact", "greedy"):
-            raise ConfigError(f"method {method.get('name')!r} matching {method['matching']!r} is not 'exact' or 'greedy'")
+        if method.get("matching", "exact") not in MATCHING_MODES:
+            modes = " or ".join(map(repr, MATCHING_MODES))
+            raise ConfigError(f"method {method.get('name')!r} matching {method['matching']!r} is not {modes}")
         _check_method_fields(method)
         if method.get("restrict_k") is not None and config["pair"].get("family") == "er_sbm":
             raise ConfigError("restricted mapping sets require a pair with ground truth")

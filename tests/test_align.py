@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import specalign.align as align_module
 from specalign.align import (
+    MATCHING_MODES,
     brute_force_qap,
     eigen_align,
     expected_objective_gap,
@@ -180,6 +181,22 @@ class TestNeverAboveOptimum:
             scheme = from_alpha((1 - gamma) / gamma, 0.001)
             ea = eigen_align(g1, g2, scheme, matching=matching)
             assert ea.objective <= brute_force_qap(g1, g2, scheme.gamma).objective + 1e-9
+
+
+class TestMatchingModes:
+    SOLVERS = {
+        "ea": lambda g, matching: eigen_align(g, g, ScoreScheme(4, 2, 1), matching=matching),
+        "lra": lambda g, matching: low_rank_align(g, g, 0.2, matching=matching),
+    }
+
+    @pytest.mark.parametrize("mode", MATCHING_MODES)
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_each_mode_runs_and_an_unknown_one_is_refused_naming_it(self, solver, mode):
+        solve = self.SOLVERS[solver]
+        assert solve(C4, mode).matches == 4
+        with pytest.raises(ValueError, match="'fast'") as refused:
+            solve(C4, "fast")
+        assert repr(mode) in str(refused.value)
 
 
 class TestOrthogonalRelaxation:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from specalign import experiments
+from specalign.align import MATCHING_MODES
 from specalign.cli import main
 from specalign.experiments import CSV_COLUMNS, aggregate_rows, run_cell, run_sweep, sweep_rows_to_csv
 from specalign.graph import load_edge_list
@@ -309,6 +310,15 @@ class TestAlign:
             assert code == 2
             assert f"pair ({named}) out of range for sizes (10, 10)" in err
 
+    @pytest.mark.parametrize("mode", MATCHING_MODES)
+    @pytest.mark.parametrize("command, option", [("ea", ["--alpha", "10"]), ("lra", ["--gamma", "0.2"])])
+    def test_matching_option_takes_each_mode_and_refuses_others(self, pair, capsys, command, option, mode):
+        graphs = [str(pair / "pair_g1.el"), str(pair / "pair_g2.el")]
+        assert run_main(["align", command, *graphs, *option, "--matching", mode], capsys)[0] == 0
+        code, _, err = run_main(["align", command, *graphs, *option, "--matching", "fast"], capsys)
+        assert code == 1
+        assert "'fast'" in err and repr(mode) in err
+
 
 class TestSweep:
     def test_deterministic_csv(self, tmp_path, capsys):
@@ -447,6 +457,17 @@ class TestSweep:
         code, _, err = run_main(["sweep", str(cfg)], capsys)
         assert code == 1
         assert "'lra'" in err and "'exakt'" in err
+
+    @pytest.mark.parametrize("mode", MATCHING_MODES)
+    def test_config_takes_each_matching_mode_and_refuses_others(self, tmp_path, capsys, mode):
+        method = {"name": "lra", "gammas": [0.2]}
+        experiments.validate_config({**SMALL_CONFIG, "methods": [{**method, "matching": mode}]})
+        fast = {**SMALL_CONFIG, "methods": [{**method, "matching": "fast"}]}
+        with pytest.raises(experiments.ConfigError, match=repr(mode)):
+            experiments.validate_config(fast)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(fast))
+        assert run_main(["sweep", str(cfg)], capsys)[0] == 1
 
     @pytest.mark.parametrize(
         "method, value",
