@@ -54,7 +54,6 @@ class AlignmentResult:
     objective: float
     method: str
     gamma: float
-    rank: int | None = None
     seed: int | None = None
 
 
@@ -76,7 +75,6 @@ def _finish(
     assignment: Assignment,
     gamma: float,
     method: str,
-    rank: int | None,
     seed: int | None,
 ) -> AlignmentResult:
     matches, mismatches, neutrals = count_alignment(g1, g2, assignment)
@@ -89,7 +87,6 @@ def _finish(
         objective=objective,
         method=method,
         gamma=gamma,
-        rank=rank,
         seed=seed,
     )
 
@@ -138,7 +135,7 @@ def eigen_align(
         assignment = hungarian_max_weight(weights, allowed)
     else:
         assignment = greedy_matching(weights, allowed)
-    return _finish(g1, g2, assignment, s.gamma, "ea", None, seed)
+    return _finish(g1, g2, assignment, s.gamma, "ea", seed)
 
 
 def orthogonal_relaxation(g1m: np.ndarray, g2m: np.ndarray) -> RelaxationSolution:
@@ -230,7 +227,7 @@ def low_rank_align(
     real = (winner.rows < g1.n) & (winner.cols < g2.n)
     rows, cols = winner.rows[real], winner.cols[real]
     trimmed = Assignment(rows, cols, total_weight=float(sum(affinity[rows, cols].tolist())))
-    return _finish(g1, g2, trimmed, gamma, "lra", rank_k, None)
+    return _finish(g1, g2, trimmed, gamma, "lra", None)
 
 
 def _check_matching(matching: str) -> None:
@@ -289,7 +286,7 @@ def brute_force_qap(g1: Graph, g2: Graph, gamma: float) -> AlignmentResult:
             best_value = value
             best_perm = perm
     assignment = Assignment(np.arange(n), np.asarray(best_perm), total_weight=best_value)
-    return _finish(g1, g2, assignment, gamma, "brute", None, None)
+    return _finish(g1, g2, assignment, gamma, "brute", None)
 
 
 def expected_objective_gap(p: float, p_e: float, s: ScoreScheme, model: str) -> float:

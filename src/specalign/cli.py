@@ -19,9 +19,9 @@ import numpy as np
 from .align import MATCHING_MODES, brute_force_qap, eigen_align, low_rank_align
 from .experiments import (
     NOISE_MODELS,
+    PAIR_FAMILIES,
     ConfigError,
     cell_record,
-    generate_graph,
     generate_pair,
     parse_seed,
     run_sweep,
@@ -30,10 +30,12 @@ from .experiments import (
 from .graph import Graph, Permutation, load_edge_list, parse_id_pair, write_edge_list
 from .matching import Assignment
 from .metrics import count_alignment, generalized_objective, node_accuracy
+from .randgen import erdos_renyi, power_law, random_regular, stochastic_block_model
 from .score import MappingSet, ScoreScheme, build_alignment_matrix, from_alpha
 
 USAGE_EXIT = 1
 RUNTIME_EXIT = 2
+POWERLAW_DEFAULTS = PAIR_FAMILIES["powerlaw"]  # of --m and --n0
 
 
 @click.group()
@@ -48,18 +50,13 @@ def generate():
     """Write synthetic graphs (edge list + JSON sidecar)."""
 
 
-def _write_graph(g: Graph, path: Path) -> None:
-    path.write_text(write_edge_list(g))
-
-
 def _write_sidecar(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _single_graph_command(family: str, params: dict, seed: int, out: str) -> None:
-    g = generate_graph(family, params, seed)
+def _single_graph_command(family: str, params: dict, g: Graph, seed: int, out: str) -> None:
     prefix = Path(out)
-    _write_graph(g, prefix.with_suffix(".el"))
+    prefix.with_suffix(".el").write_text(write_edge_list(g))
     _write_sidecar(
         prefix.with_suffix(".json"),
         {"family": family, "params": params, "seed": seed, "n": g.n, "edges": g.edge_count},
@@ -74,7 +71,7 @@ def _single_graph_command(family: str, params: dict, seed: int, out: str) -> Non
 @click.option("--out", type=str, default="er", show_default=True, help="Output path prefix.")
 def generate_er(n, p, seed, out):
     """Erdos-Renyi graph G(n, p)."""
-    _single_graph_command("er", {"n": n, "p": p}, seed, out)
+    _single_graph_command("er", {"n": n, "p": p}, erdos_renyi(n, p, seed), seed, out)
 
 
 def _parse_list(text: str, convert, option: str) -> list:
@@ -99,9 +96,8 @@ def generate_sbm(sizes, within, cross, seed, out):
         raise click.UsageError("--within must list one density per block")
     density = np.full((len(block_sizes), len(block_sizes)), cross)
     np.fill_diagonal(density, within_densities)
-    _single_graph_command(
-        "sbm", {"block_sizes": block_sizes, "density": density.tolist()}, seed, out
-    )
+    g = stochastic_block_model(block_sizes, density, seed)
+    _single_graph_command("sbm", {"block_sizes": block_sizes, "density": density.tolist()}, g, seed, out)
 
 
 @generate.command("regular")
@@ -111,18 +107,18 @@ def generate_sbm(sizes, within, cross, seed, out):
 @click.option("--out", type=str, default="regular", show_default=True)
 def generate_regular(n, d, seed, out):
     """Random d-regular graph."""
-    _single_graph_command("regular", {"n": n, "d": d}, seed, out)
+    _single_graph_command("regular", {"n": n, "d": d}, random_regular(n, d, seed), seed, out)
 
 
 @generate.command("powerlaw")
 @click.option("--n", type=int, required=True)
-@click.option("--m", type=int, default=3, show_default=True, help="Edges per new node.")
-@click.option("--n0", type=int, default=5, show_default=True, help="Seed subgraph size.")
+@click.option("--m", type=int, default=POWERLAW_DEFAULTS["m"], show_default=True, help="Edges per new node.")
+@click.option("--n0", type=int, default=POWERLAW_DEFAULTS["n0"], show_default=True, help="Seed subgraph size.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=str, default="powerlaw", show_default=True)
 def generate_powerlaw(n, m, n0, seed, out):
     """Preferential-attachment graph."""
-    _single_graph_command("powerlaw", {"n": n, "m": m, "n0": n0}, seed, out)
+    _single_graph_command("powerlaw", {"n": n, "m": m, "n0": n0}, power_law(n, m, n0, seed), seed, out)
 
 
 @generate.command("pair")
@@ -130,8 +126,8 @@ def generate_powerlaw(n, m, n0, seed, out):
 @click.option("--n", type=int, default=50, show_default=True)
 @click.option("--p", type=float, default=0.1, show_default=True, help="Edge density (er, er_sbm).")
 @click.option("--d", type=int, default=5, show_default=True, help="Degree (regular).")
-@click.option("--m", type=int, default=3, show_default=True, help="Edges per new node (powerlaw).")
-@click.option("--n0", type=int, default=5, show_default=True, help="Seed subgraph size (powerlaw).")
+@click.option("--m", type=int, default=POWERLAW_DEFAULTS["m"], show_default=True, help="Edges per new node (powerlaw).")
+@click.option("--n0", type=int, default=POWERLAW_DEFAULTS["n0"], show_default=True, help="Seed subgraph size (powerlaw).")
 @click.option("--noise", type=click.Choice(NOISE_MODELS), default="none", show_default=True)
 @click.option("--pe", type=float, default=0.0, show_default=True, help="Noise probability.")
 @click.option("--seed", type=int, default=0, show_default=True)
@@ -143,8 +139,8 @@ def generate_pair_cmd(family, n, p, d, m, n0, noise, pe, seed, out):
     prefix = Path(out)
     path1 = Path(f"{prefix}_g1.el")
     path2 = Path(f"{prefix}_g2.el")
-    _write_graph(g1, path1)
-    _write_graph(g2, path2)
+    path1.write_text(write_edge_list(g1))
+    path2.write_text(write_edge_list(g2))
     _write_sidecar(
         Path(f"{prefix}.json"),
         {
@@ -159,18 +155,18 @@ def generate_pair_cmd(family, n, p, d, m, n0, noise, pe, seed, out):
 
 # ------------------------------------------------------------------- align
 
-def _load_graph(path: str) -> Graph:
-    return load_edge_list(Path(path).read_text())
-
-
-def _load_truth(path: str | None) -> Permutation | None:
-    if path is None:
-        return None
-    payload = json.loads(Path(path).read_text())
-    mapping = payload["truth"] if isinstance(payload, dict) else payload
-    if mapping is None:
-        return None
-    return Permutation(np.asarray(mapping, dtype=np.int64))
+def _load_inputs(g1_path: str, g2_path: str, truth_path: str | None) -> tuple[Graph, Graph, Permutation | None]:
+    """The two graphs, and the truth of a ``generate pair`` sidecar: an object whose ``truth`` is a list or null."""
+    g1, g2 = (load_edge_list(Path(path).read_text()) for path in (g1_path, g2_path))
+    if truth_path is None:
+        return g1, g2, None
+    sidecar = json.loads(Path(truth_path).read_text())
+    if not isinstance(sidecar, dict) or "truth" not in sidecar:
+        raise ValueError(f"truth file {truth_path} is not an object with a 'truth' list or null")
+    truth = None if sidecar["truth"] is None else Permutation(np.asarray(sidecar["truth"], dtype=np.int64))
+    if truth is not None and truth.n != g1.n:
+        raise ValueError(f"truth file {truth_path} maps {truth.n} nodes, but {g1_path} has {g1.n}")
+    return g1, g2, truth
 
 
 def _read_pairs(path: str) -> list[tuple[int, int]]:
@@ -221,7 +217,7 @@ def align():
 def align_ea(g1_path, g2_path, alpha, eps, s1, s2, s3, matching, restrict, seed, truth, out, dump_alignment):
     """Leading-eigenvector alignment."""
     started = time.perf_counter()
-    g1, g2 = _load_graph(g1_path), _load_graph(g2_path)
+    g1, g2, truth = _load_inputs(g1_path, g2_path, truth)
     if alpha is not None:
         scheme = from_alpha(alpha, eps)
     elif None not in (s1, s2, s3):
@@ -238,7 +234,7 @@ def align_ea(g1_path, g2_path, alpha, eps, s1, s2, s3, matching, restrict, seed,
         a = build_alignment_matrix(g1, g2, scheme, dense_set)
         np.savetxt(dump_alignment, a, delimiter=",")
     result = eigen_align(g1, g2, scheme, mapping_set, matching=matching, seed=seed)
-    _emit_result(result, _load_truth(truth), out, started)
+    _emit_result(result, truth, out, started)
 
 
 @align.command("lra")
@@ -252,9 +248,9 @@ def align_ea(g1_path, g2_path, alpha, eps, s1, s2, s3, matching, restrict, seed,
 def align_lra(g1_path, g2_path, gamma, rank, matching, truth, out):
     """Low-rank spectral alignment."""
     started = time.perf_counter()
-    g1, g2 = _load_graph(g1_path), _load_graph(g2_path)
+    g1, g2, truth = _load_inputs(g1_path, g2_path, truth)
     result = low_rank_align(g1, g2, gamma, rank_k=rank, matching=matching)
-    _emit_result(result, _load_truth(truth), out, started)
+    _emit_result(result, truth, out, started)
 
 
 @align.command("brute")
@@ -266,9 +262,9 @@ def align_lra(g1_path, g2_path, gamma, rank, matching, truth, out):
 def align_brute(g1_path, g2_path, gamma, truth, out):
     """Exact alignment by permutation enumeration (small graphs only)."""
     started = time.perf_counter()
-    g1, g2 = _load_graph(g1_path), _load_graph(g2_path)
+    g1, g2, truth = _load_inputs(g1_path, g2_path, truth)
     result = brute_force_qap(g1, g2, gamma)
-    _emit_result(result, _load_truth(truth), out, started)
+    _emit_result(result, truth, out, started)
 
 
 # -------------------------------------------------------------------- eval
@@ -281,13 +277,12 @@ def align_brute(g1_path, g2_path, gamma, truth, out):
 @click.option("--truth", type=str, default=None)
 def eval_cmd(g1_path, g2_path, mapping_tsv, gamma, truth):
     """Recount metrics from a stored mapping TSV."""
-    g1, g2 = _load_graph(g1_path), _load_graph(g2_path)
+    g1, g2, truth = _load_inputs(g1_path, g2_path, truth)
     # object ids: an id past int64 reaches the Assignment check unconverted
     ids = np.array(_read_pairs(mapping_tsv), dtype=object).reshape(-1, 2)
     mapping = Assignment(ids[:, 0], ids[:, 1], total_weight=float("nan"))
     scores = (*count_alignment(g1, g2, mapping), generalized_objective(g1, g2, mapping, gamma))
-    truth_perm = _load_truth(truth)
-    accuracy = None if truth_perm is None else node_accuracy(mapping, truth_perm)
+    accuracy = None if truth is None else node_accuracy(mapping, truth)
     _echo_record(cell_record("eval", gamma, None, scores, accuracy))
 
 

@@ -35,7 +35,6 @@ __all__ = [
     "ConfigError",
     "cell_record",
     "child_seed",
-    "generate_graph",
     "generate_pair",
     "parse_seed",
     "run_cell",
@@ -84,36 +83,35 @@ def child_seed(seed: int, stream: int) -> int:
     return int(np.random.SeedSequence((seed, stream)).generate_state(1)[0])
 
 
-def generate_graph(family: str, params: dict, seed: int) -> Graph:
-    if family == "er":
-        return erdos_renyi(int(params["n"]), float(params["p"]), seed)
-    if family == "sbm":
-        return stochastic_block_model(
-            [int(s) for s in params["block_sizes"]],
-            np.asarray(params["density"], dtype=float),
-            seed,
-        )
-    if family == "regular":
-        return random_regular(int(params["n"]), int(params["d"]), seed)
-    if family == "powerlaw":
-        return power_law(int(params["n"]), int(params.get("m", 3)), int(params.get("n0", 5)), seed)
-    raise ConfigError(f"unknown graph family {family!r}")
-
-
 def _density(g: Graph) -> float:
     return 2 * g.edge_count / (g.n * (g.n - 1)) if g.n > 1 else 0.0
 
 
-# each pair family with the spec keys its generators read without a default
-REQUIRED_PAIR_KEYS = {
-    "er": ("n", "p"),
-    "sbm": ("block_sizes", "density"),
-    "regular": ("n", "d"),
-    "powerlaw": ("n",),
-    "er_sbm": (),
+REQUIRED = object()  # marks a pair key with no default; unlike None, no JSON value equals it
+
+# each pair family with every spec key it reads and that key's default
+PAIR_FAMILIES = {
+    "er": {"n": REQUIRED, "p": REQUIRED},
+    "sbm": {"block_sizes": REQUIRED, "density": REQUIRED},
+    "regular": {"n": REQUIRED, "d": REQUIRED},
+    "powerlaw": {"n": REQUIRED, "m": 3, "n0": 5},
+    "er_sbm": {"n": 25, "p": 0.1, "block_sizes": [25, 25], "within": [0.1, 0.3], "cross": 0.05},
 }
-PAIR_FAMILIES = tuple(REQUIRED_PAIR_KEYS)  # a tuple: a JSON list as family is unknown, not unhashable
 NOISE_MODELS = ("none", "model1", "model2")
+
+
+def _pair_keys(spec: dict) -> tuple[str, dict]:
+    """A pair spec's family and each key that family reads, from the spec or the family's default."""
+    family = spec.get("family")
+    if not isinstance(family, str) or family not in PAIR_FAMILIES:  # a JSON list is unknown, not unhashable
+        raise ConfigError(f"pair family {family!r} is not one of {', '.join(PAIR_FAMILIES)}")
+    keys = {key: spec.get(key, default) for key, default in PAIR_FAMILIES[family].items()}
+    for key, value in keys.items():
+        if value is REQUIRED:
+            raise ConfigError(f"pair family {family!r} requires {key!r}")
+    if spec.get("noise", "none") not in NOISE_MODELS:
+        raise ConfigError(f"pair noise {spec['noise']!r} is not one of {', '.join(NOISE_MODELS)}")
+    return family, keys
 
 
 def generate_pair(spec: dict, seed: int) -> tuple[Graph, Graph, Permutation | None]:
@@ -123,31 +121,32 @@ def generate_pair(spec: dict, seed: int) -> tuple[Graph, Graph, Permutation | No
     and ``truth`` is the relabeling. The "er_sbm" family pairs an
     independent blockmodel against the first graph (no ground truth).
     """
-    family = spec.get("family")
-    if family is None:
-        raise ConfigError("pair spec is missing 'family'")
+    family, keys = _pair_keys(spec)
+    graph_seed = child_seed(seed, STREAM_GRAPH)
+    if family in ("er", "er_sbm"):
+        g1 = erdos_renyi(int(keys["n"]), float(keys["p"]), graph_seed)
+    elif family == "sbm":
+        g1 = stochastic_block_model([int(s) for s in keys["block_sizes"]], keys["density"], graph_seed)
+    elif family == "regular":
+        g1 = random_regular(int(keys["n"]), int(keys["d"]), graph_seed)
+    else:
+        g1 = power_law(int(keys["n"]), int(keys["m"]), int(keys["n0"]), graph_seed)
     if family == "er_sbm":
-        g1 = erdos_renyi(int(spec.get("n", 25)), float(spec.get("p", 0.1)), child_seed(seed, STREAM_GRAPH))
-        sizes = [int(s) for s in spec.get("block_sizes", [25, 25])]
-        within = [float(x) for x in spec.get("within", [0.1, 0.3])]
-        cross = float(spec.get("cross", 0.05))
-        density = np.full((len(sizes), len(sizes)), cross)
-        np.fill_diagonal(density, within)
+        sizes = [int(s) for s in keys["block_sizes"]]
+        density = np.full((len(sizes), len(sizes)), float(keys["cross"]))
+        np.fill_diagonal(density, [float(x) for x in keys["within"]])
         g2 = stochastic_block_model(sizes, density, child_seed(seed, STREAM_NOISE))
         return g1, g2, None
 
-    g1 = generate_graph(family, spec, child_seed(seed, STREAM_GRAPH))
     noise = spec.get("noise", "none")
     pe = float(spec.get("pe", 0.0))
     if noise == "none":
         noisy = g1
     elif noise == "model1":
         noisy = noise_model_I(g1, pe, child_seed(seed, STREAM_NOISE))
-    elif noise == "model2":
-        p_clean = float(spec["p"]) if "p" in spec else _density(g1)
-        noisy = noise_model_II(g1, pe, p_clean, child_seed(seed, STREAM_NOISE))
     else:
-        raise ConfigError(f"unknown noise model {noise!r}")
+        p_clean = float(keys["p"]) if "p" in keys else _density(g1)
+        noisy = noise_model_II(g1, pe, p_clean, child_seed(seed, STREAM_NOISE))
     truth = random_permutation(g1.n, child_seed(seed, STREAM_PERMUTATION))
     g2 = apply_permutation(noisy, truth)
     return g1, g2, truth
@@ -215,15 +214,9 @@ def validate_config(config: dict) -> None:
         raise ConfigError("config must list at least one method")
     if not isinstance(methods, list) or not all(isinstance(m, dict) for m in methods):
         raise ConfigError("'methods' must be a list of objects")
-    family = config["pair"].get("family")
-    if family not in PAIR_FAMILIES:
-        raise ConfigError(f"pair family {family!r} is not one of {', '.join(PAIR_FAMILIES)}")
-    for key in REQUIRED_PAIR_KEYS[family]:
-        if key not in config["pair"]:
-            raise ConfigError(f"pair family {family!r} requires {key!r}")
-    noise = config["pair"].get("noise", "none")
-    if noise not in NOISE_MODELS:
-        raise ConfigError(f"pair noise {noise!r} is not one of {', '.join(NOISE_MODELS)}")
+    family, _ = _pair_keys(config["pair"])
+    if config.get("output") is not None and not isinstance(config["output"], str):
+        raise ConfigError(f"'output' {config['output']!r} is not a path string")
     seeds = config.get("seeds")
     if not seeds:
         raise ConfigError("config must list at least one seed")
@@ -247,7 +240,7 @@ def validate_config(config: dict) -> None:
             modes = " or ".join(map(repr, MATCHING_MODES))
             raise ConfigError(f"method {method.get('name')!r} matching {method['matching']!r} is not {modes}")
         _check_method_fields(method)
-        if method.get("restrict_k") is not None and config["pair"].get("family") == "er_sbm":
+        if method.get("restrict_k") is not None and family == "er_sbm":
             raise ConfigError("restricted mapping sets require a pair with ground truth")
 
 

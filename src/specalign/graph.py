@@ -101,9 +101,6 @@ class Graph:
             return NotImplemented
         return self.directed == other.directed and np.array_equal(self.adjacency, other.adjacency)
 
-    def __hash__(self):
-        return hash((self.directed, self.adjacency.tobytes()))
-
 
 @dataclass(frozen=True)
 class Permutation:
@@ -135,16 +132,10 @@ class Permutation:
         inv[self.mapping] = np.arange(self.n)
         return Permutation(inv)
 
-    def __call__(self, i: int) -> int:
-        return int(self.mapping[i])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Permutation):
             return NotImplemented
         return np.array_equal(self.mapping, other.mapping)
-
-    def __hash__(self):
-        return hash(self.mapping.tobytes())
 
 
 def parse_id_pair(line: str, lineno: int) -> tuple[int, int]:

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -8,9 +9,12 @@ from specalign import experiments
 from specalign.align import MATCHING_MODES
 from specalign.cli import main
 from specalign.experiments import CSV_COLUMNS, aggregate_rows, run_cell, run_sweep, sweep_rows_to_csv
-from specalign.graph import load_edge_list
+from specalign.graph import load_edge_list, write_edge_list
 from specalign.matching import Assignment
 from specalign.metrics import count_alignment
+from specalign.randgen import power_law
+
+PRESETS = Path(__file__).resolve().parent.parent / "presets"
 
 
 def run_main(argv, capsys):
@@ -83,6 +87,28 @@ class TestGenerate:
         assert code == 0
         assert (tmp_path / "n_g1.el").exists() and (tmp_path / "n_g2.el").exists()
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_pair_command_draws_the_sweep_pair(self, tmp_path, capsys, seed):
+        # the sweep's fig3d pair, from the options README gives for it
+        out = tmp_path / "d"
+        argv = ["generate", "pair", "--family", "powerlaw", "--n", "50", "--noise", "model2", "--pe", "0.05"]
+        assert run_main([*argv, "--seed", str(seed), "--out", str(out)], capsys)[0] == 0
+        g1, g2, truth = experiments.generate_pair(json.loads((PRESETS / "fig3d.json").read_text())["pair"], seed)
+        assert (tmp_path / "d_g1.el").read_text() == write_edge_list(g1)
+        assert (tmp_path / "d_g2.el").read_text() == write_edge_list(g2)
+        assert json.loads((tmp_path / "d.json").read_text())["truth"] == truth.mapping.tolist()
+
+    def test_pair_missing_required_key_is_a_config_error(self):
+        with pytest.raises(experiments.ConfigError, match="'n'"):
+            experiments.generate_pair({"family": "er", "p": 0.1}, 0)
+
+    def test_powerlaw_writes_graph_with_table_defaults(self, tmp_path, capsys):
+        out = tmp_path / "pl"
+        code, _, _ = run_main(["generate", "powerlaw", "--n", "20", "--seed", "5", "--out", str(out)], capsys)
+        assert code == 0
+        assert (tmp_path / "pl.el").read_text() == write_edge_list(power_law(20, 3, 5, 5))
+        assert json.loads((tmp_path / "pl.json").read_text())["params"] == {"n": 20, "m": 3, "n0": 5}
+
     def test_sbm_graph(self, tmp_path, capsys):
         out = tmp_path / "b"
         code, _, _ = run_main(
@@ -104,6 +130,15 @@ class TestGenerate:
         assert code == 1
         assert option in err and bad in err
         assert "invalid literal" not in err
+
+    def test_sbm_within_count_mismatch_usage_error(self, tmp_path, capsys):
+        code, _, err = run_main(
+            ["generate", "sbm", "--sizes", "5,5", "--within", "0.1", "--cross", "0.1", "--out", str(tmp_path / "b")],
+            capsys,
+        )
+        assert code == 1
+        assert "--within" in err
+        assert not (tmp_path / "b.el").exists()
 
     def test_invalid_params_nonzero_exit(self, tmp_path, capsys):
         code, _, err = run_main(
@@ -220,6 +255,32 @@ class TestAlign:
         for key in ("matches", "mismatches", "neutrals", "accuracy"):
             assert eval_record[key] == align_record[key]
         assert eval_record["objective"] == pytest.approx(align_record["objective"])
+
+    def test_explicit_scores_match_alpha(self, pair, capsys):
+        graphs = [str(pair / "pair_g1.el"), str(pair / "pair_g2.el")]
+        records = []
+        for scores in (["--alpha", "4", "--eps", "0.001"], ["--s1", "4.001", "--s2", "1.001", "--s3", "0.001"]):
+            code, out, _ = run_main(["align", "ea", *graphs, *scores], capsys)
+            assert code == 0
+            record = json.loads(out)
+            del record["wall_ms"]
+            records.append(record)
+        assert records[0] == records[1]
+
+    @pytest.mark.parametrize(
+        "payload, named",
+        [({}, ["truth.json"]), ([0, 1], ["truth.json"]), ({"truth": [1, 0]}, ["2 nodes", "pair_g1.el has 10"])],
+        ids=["no-truth-key", "bare-list", "two-of-ten-nodes"],
+    )
+    def test_bad_truth_file_fails_before_solving(self, pair, capsys, payload, named):
+        truth = pair / "truth.json"
+        truth.write_text(json.dumps(payload))
+        graphs = [str(pair / "pair_g1.el"), str(pair / "pair_g2.el")]
+        out = pair / "map.tsv"
+        code, _, err = run_main(["align", "ea", *graphs, "--alpha", "4", "--truth", str(truth), "--out", str(out)], capsys)
+        assert code == 2
+        assert err.startswith("error:") and all(text in err for text in named)
+        assert not out.exists()
 
     def test_usage_error_exit_one(self, pair, capsys):
         code, _, _ = run_main(["align", "ea", str(pair / "pair_g1.el"), str(pair / "pair_g2.el")], capsys)
@@ -393,6 +454,14 @@ class TestSweep:
             {**SMALL_CONFIG, "seeds": [-1]},
             {**SMALL_CONFIG, "seeds": ["x"]},
             {**SMALL_CONFIG, "seeds": [1, "1"]},
+            {key: value for key, value in SMALL_CONFIG.items() if key != "pair"},
+            {**SMALL_CONFIG, "seeds": []},
+            {**SMALL_CONFIG, "methods": [{"name": "spectral", "gammas": [0.2]}]},
+            {**SMALL_CONFIG, "methods": [{"name": "lra"}]},
+            {**SMALL_CONFIG, "methods": [{"name": "lra", "gammas": [0.5]}]},
+            {**SMALL_CONFIG, "methods": [{"name": "ea", "gammas": [0]}]},
+            {"pair": {"family": "er_sbm"}, "methods": [{"name": "ea", "gammas": [0.2], "restrict_k": 2}], "seeds": [0]},
+            {**SMALL_CONFIG, "pair": {"family": ["er"], "n": 5, "p": 0.3}},
         ],
         ids=[
             "not-object",
@@ -415,6 +484,14 @@ class TestSweep:
             "seed-negative",
             "seed-word",
             "seeds-equal-after-conversion",
+            "pair-missing",
+            "seeds-empty",
+            "method-unknown",
+            "gammas-missing",
+            "gamma-half",
+            "ea-gamma-zero",
+            "restrict-k-without-truth",
+            "family-list",
         ],
     )
     def test_wrong_typed_config_usage_error(self, tmp_path, capsys, config):
@@ -445,6 +522,41 @@ class TestSweep:
         assert code == 1
         assert family in err and key in err
         assert not out.exists()
+
+    def test_non_string_output_refused_before_any_cell(self, tmp_path, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setattr(experiments, "run_cell", lambda *cell: ran.append(cell))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**SMALL_CONFIG, "output": 5}))
+        code, _, err = run_main(["sweep", str(cfg)], capsys)
+        assert code == 1
+        assert "'output' 5" in err
+        assert ran == []
+
+    def test_invalid_json_config_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{not json")
+        code, _, err = run_main(["sweep", str(cfg)], capsys)
+        assert code == 1
+        assert "not valid JSON" in err
+
+    def test_sweep_without_output_prints_csv(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(SMALL_CONFIG))
+        code, out, _ = run_main(["sweep", str(cfg)], capsys)
+        assert code == 0
+        expected = sweep_rows_to_csv(run_sweep(SMALL_CONFIG))
+        assert strip_wall(list(csv.reader(io.StringIO(out)))) == strip_wall(list(csv.reader(io.StringIO(expected))))
+
+    def test_sweep_in_which_every_cell_fails_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        out = tmp_path / "out.csv"
+        config = {"pair": {"family": "er", "n": 12, "p": 0.25}, "methods": [{"name": "brute", "gammas": [0.0]}], "seeds": [0, 1]}
+        cfg.write_text(json.dumps(config))
+        code, _, err = run_main(["sweep", str(cfg), "--out", str(out)], capsys)
+        assert code == 2
+        assert "all sweep cells failed" in err
+        assert "brute force is limited" in out.read_text()
 
     def test_er_sbm_pair_needs_no_keys(self):
         rows = run_sweep({**SMALL_CONFIG, "pair": {"family": "er_sbm"}})
