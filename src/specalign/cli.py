@@ -18,9 +18,11 @@ import numpy as np
 
 from .align import MATCHING_MODES, brute_force_qap, eigen_align, low_rank_align
 from .experiments import (
+    METHODS,
     NOISE_MODELS,
     PAIR_FAMILIES,
     ConfigError,
+    _pair_keys,
     cell_record,
     generate_pair,
     parse_seed,
@@ -35,7 +37,7 @@ from .score import MappingSet, ScoreScheme, build_alignment_matrix, from_alpha
 
 USAGE_EXIT = 1
 RUNTIME_EXIT = 2
-POWERLAW_DEFAULTS = PAIR_FAMILIES["powerlaw"]  # of --m and --n0
+POWERLAW, EA, LRA = PAIR_FAMILIES["powerlaw"], METHODS["ea"], METHODS["lra"]  # the option defaults
 
 
 @click.group()
@@ -112,8 +114,8 @@ def generate_regular(n, d, seed, out):
 
 @generate.command("powerlaw")
 @click.option("--n", type=int, required=True)
-@click.option("--m", type=int, default=POWERLAW_DEFAULTS["m"], show_default=True, help="Edges per new node.")
-@click.option("--n0", type=int, default=POWERLAW_DEFAULTS["n0"], show_default=True, help="Seed subgraph size.")
+@click.option("--m", type=int, default=POWERLAW["m"], show_default=True, help="Edges per new node.")
+@click.option("--n0", type=int, default=POWERLAW["n0"], show_default=True, help="Seed subgraph size.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=str, default="powerlaw", show_default=True)
 def generate_powerlaw(n, m, n0, seed, out):
@@ -123,18 +125,19 @@ def generate_powerlaw(n, m, n0, seed, out):
 
 @generate.command("pair")
 @click.option("--family", type=click.Choice(["er", "regular", "powerlaw", "er_sbm"]), required=True)
-@click.option("--n", type=int, default=50, show_default=True)
-@click.option("--p", type=float, default=0.1, show_default=True, help="Edge density (er, er_sbm).")
-@click.option("--d", type=int, default=5, show_default=True, help="Degree (regular).")
-@click.option("--m", type=int, default=POWERLAW_DEFAULTS["m"], show_default=True, help="Edges per new node (powerlaw).")
-@click.option("--n0", type=int, default=POWERLAW_DEFAULTS["n0"], show_default=True, help="Seed subgraph size (powerlaw).")
-@click.option("--noise", type=click.Choice(NOISE_MODELS), default="none", show_default=True)
-@click.option("--pe", type=float, default=0.0, show_default=True, help="Noise probability.")
+@click.option("--n", type=int, help="Node count.")
+@click.option("--p", type=float, help="Edge density (er, er_sbm).")
+@click.option("--d", type=int, help="Degree (regular).")
+@click.option("--m", type=int, help="Edges per new node (powerlaw).")
+@click.option("--n0", type=int, help="Seed subgraph size (powerlaw).")
+@click.option("--noise", type=click.Choice(NOISE_MODELS))
+@click.option("--pe", type=float, help="Noise probability.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=str, default="pair", show_default=True, help="Output path prefix.")
-def generate_pair_cmd(family, n, p, d, m, n0, noise, pe, seed, out):
-    """A graph pair (second graph relabeled, optionally noisy) plus truth."""
-    spec = {"family": family, "n": n, "p": p, "d": d, "m": m, "n0": n0, "noise": noise, "pe": pe}
+def generate_pair_cmd(family, seed, out, **options):
+    """A graph pair (second graph relabeled, optionally noisy) plus truth; unset keys take the family's defaults."""
+    given = {key: value for key, value in options.items() if value is not None}
+    spec = {"family": family, **_pair_keys({"family": family, **given})[1]}
     g1, g2, truth = generate_pair(spec, seed)
     prefix = Path(out)
     path1 = Path(f"{prefix}_g1.el")
@@ -163,10 +166,15 @@ def _load_inputs(g1_path: str, g2_path: str, truth_path: str | None) -> tuple[Gr
     sidecar = json.loads(Path(truth_path).read_text())
     if not isinstance(sidecar, dict) or "truth" not in sidecar:
         raise ValueError(f"truth file {truth_path} is not an object with a 'truth' list or null")
-    truth = None if sidecar["truth"] is None else Permutation(np.asarray(sidecar["truth"], dtype=np.int64))
-    if truth is not None and truth.n != g1.n:
-        raise ValueError(f"truth file {truth_path} maps {truth.n} nodes, but {g1_path} has {g1.n}")
-    return g1, g2, truth
+    ids = sidecar["truth"]
+    if ids is None:
+        return g1, g2, None
+    # type, not isinstance: a JSON boolean is no node id
+    if not (isinstance(ids, list) and all(type(i) is int for i in ids) and sorted(ids) == list(range(len(ids)))):
+        raise ValueError(f"truth file {truth_path} 'truth' is not a permutation (the integers 0 to n - 1, each once)")
+    if len(ids) != g1.n:
+        raise ValueError(f"truth file {truth_path} maps {len(ids)} nodes, but {g1_path} has {g1.n}")
+    return g1, g2, Permutation(ids)
 
 
 def _read_pairs(path: str) -> list[tuple[int, int]]:
@@ -204,11 +212,11 @@ def align():
 @click.argument("g1_path")
 @click.argument("g2_path")
 @click.option("--alpha", type=float, default=None, help="Match-score parameter (> 1).")
-@click.option("--eps", type=float, default=0.001, show_default=True)
+@click.option("--eps", type=float, default=EA["eps"], show_default=True)
 @click.option("--s1", type=float, default=None, help="Explicit match score.")
 @click.option("--s2", type=float, default=None, help="Explicit neutral score.")
 @click.option("--s3", type=float, default=None, help="Explicit mismatch score.")
-@click.option("--matching", type=click.Choice(MATCHING_MODES), default="exact", show_default=True)
+@click.option("--matching", type=click.Choice(MATCHING_MODES), default=EA["matching"], show_default=True)
 @click.option("--restrict", type=str, default=None, help="Allowed-pairs file (two columns).")
 @click.option("--seed", type=int, default=0, show_default=True, help="Eigensolver start seed.")
 @click.option("--truth", type=str, default=None, help="Sidecar JSON with the true permutation.")
@@ -241,8 +249,8 @@ def align_ea(g1_path, g2_path, alpha, eps, s1, s2, s3, matching, restrict, seed,
 @click.argument("g1_path")
 @click.argument("g2_path")
 @click.option("--gamma", type=float, required=True)
-@click.option("--rank", type=int, default=3, show_default=True)
-@click.option("--matching", type=click.Choice(MATCHING_MODES), default="exact", show_default=True)
+@click.option("--rank", type=int, default=LRA["rank"], show_default=True)
+@click.option("--matching", type=click.Choice(MATCHING_MODES), default=LRA["matching"], show_default=True)
 @click.option("--truth", type=str, default=None)
 @click.option("--out", type=str, default=None)
 def align_lra(g1_path, g2_path, gamma, rank, matching, truth, out):
@@ -299,11 +307,8 @@ def sweep_cmd(config_path, out, jobs):
     except json.JSONDecodeError as exc:
         raise click.UsageError(f"config is not valid JSON: {exc}")
     env_seed = os.environ.get("SPECALIGN_SEED")
-    try:
-        seeds_override = None if env_seed is None else [parse_seed(env_seed, "SPECALIGN_SEED")]
-        rows = run_sweep(config, jobs=jobs, seeds_override=seeds_override)
-    except ConfigError as exc:
-        raise click.UsageError(str(exc))
+    seeds_override = None if env_seed is None else [parse_seed(env_seed, "SPECALIGN_SEED")]
+    rows = run_sweep(config, jobs=jobs, seeds_override=seeds_override)
     csv_text = sweep_rows_to_csv(rows)
     target = out or config.get("output")
     if target:
@@ -324,6 +329,9 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     except click.ClickException as exc:
         exc.show()
+        sys.exit(USAGE_EXIT)
+    except ConfigError as exc:  # a ValueError, so it must precede the runtime branch
+        click.UsageError(str(exc)).show()
         sys.exit(USAGE_EXIT)
     except click.exceptions.Abort:  # a RuntimeError, so it must precede the runtime branch
         sys.exit(USAGE_EXIT)

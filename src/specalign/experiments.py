@@ -63,8 +63,6 @@ STREAM_PERMUTATION = 2
 STREAM_MAPPING_SET = 3
 STREAM_SOLVER = 4
 
-DEFAULT_EA_EPS = 0.001
-
 
 class ConfigError(ValueError):
     """Invalid generator or sweep configuration."""
@@ -87,31 +85,79 @@ def _density(g: Graph) -> float:
     return 2 * g.edge_count / (g.n * (g.n - 1)) if g.n > 1 else 0.0
 
 
-REQUIRED = object()  # marks a pair key with no default; unlike None, no JSON value equals it
+REQUIRED = object()  # marks a key with no default; unlike None, no JSON value equals it
+
+NOISE_MODELS = ("none", "model1", "model2")
+NOISE = {"noise": "none", "pe": 0.0}  # read by each family whose second graph is a relabelled copy of the first
 
 # each pair family with every spec key it reads and that key's default
 PAIR_FAMILIES = {
-    "er": {"n": REQUIRED, "p": REQUIRED},
-    "sbm": {"block_sizes": REQUIRED, "density": REQUIRED},
-    "regular": {"n": REQUIRED, "d": REQUIRED},
-    "powerlaw": {"n": REQUIRED, "m": 3, "n0": 5},
+    "er": {"n": REQUIRED, "p": REQUIRED, **NOISE},
+    "sbm": {"block_sizes": REQUIRED, "density": REQUIRED, **NOISE},
+    "regular": {"n": REQUIRED, "d": REQUIRED, **NOISE},
+    "powerlaw": {"n": REQUIRED, "m": 3, "n0": 5, **NOISE},
     "er_sbm": {"n": 25, "p": 0.1, "block_sizes": [25, 25], "within": [0.1, 0.3], "cross": 0.05},
 }
-NOISE_MODELS = ("none", "model1", "model2")
+
+# each method with every spec key it reads and that key's default; every method also needs ``gammas``
+METHODS = {
+    "ea": {"eps": 0.001, "restrict_k": None, "matching": "exact"},
+    "lra": {"rank": 3, "matching": "exact"},
+    "brute": {},
+}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+# each spec key's rule: whether a value passes, and what it must be; keys without one are checked where they are used
+KEY_RULES = {
+    "noise": (lambda v: v in NOISE_MODELS, f"one of {', '.join(NOISE_MODELS)}"),
+    "pe": (lambda v: _is_number(v) and 0 <= v <= 1, "a number in [0, 1]"),
+    "eps": (lambda v: _is_number(v) and v > 0, "a positive number"),
+    "restrict_k": (lambda v: v is None or (_is_int(v) and v > 0), "a positive integer"),
+    "rank": (lambda v: _is_int(v) and 1 <= v <= SIGN_ENUM_MAX_RANK, f"an integer in [1, {SIGN_ENUM_MAX_RANK}]"),
+    "matching": (lambda v: v in MATCHING_MODES, " or ".join(map(repr, MATCHING_MODES))),
+}
+
+
+def _spec_keys(table: dict, kind: str, name, spec: dict) -> tuple[str, dict]:
+    """``name``, a key of ``table``, and each key its entry reads, from ``spec`` or the entry's default, checked."""
+    if not isinstance(name, str) or name not in table:  # a JSON list is unknown, not unhashable
+        raise ConfigError(f"{kind} {name!r} is not one of {', '.join(table)}")
+    keys = {key: spec.get(key, default) for key, default in table[name].items()}
+    declared = {key for entry in table.values() for key in entry}  # checked wherever a spec holds one: lra's eps too
+    for key, value in {**spec, **keys}.items():
+        if value is REQUIRED:
+            raise ConfigError(f"{kind} {name!r} requires {key!r}")
+        if key in declared and key in KEY_RULES and not KEY_RULES[key][0](value):
+            raise ConfigError(f"{kind} {name!r} {key} {value!r} is not {KEY_RULES[key][1]}")
+    return name, keys
 
 
 def _pair_keys(spec: dict) -> tuple[str, dict]:
     """A pair spec's family and each key that family reads, from the spec or the family's default."""
-    family = spec.get("family")
-    if not isinstance(family, str) or family not in PAIR_FAMILIES:  # a JSON list is unknown, not unhashable
-        raise ConfigError(f"pair family {family!r} is not one of {', '.join(PAIR_FAMILIES)}")
-    keys = {key: spec.get(key, default) for key, default in PAIR_FAMILIES[family].items()}
-    for key, value in keys.items():
-        if value is REQUIRED:
-            raise ConfigError(f"pair family {family!r} requires {key!r}")
-    if spec.get("noise", "none") not in NOISE_MODELS:
-        raise ConfigError(f"pair noise {spec['noise']!r} is not one of {', '.join(NOISE_MODELS)}")
-    return family, keys
+    return _spec_keys(PAIR_FAMILIES, "pair family", spec.get("family"), spec)
+
+
+def _method_keys(spec: dict, gammas, has_truth: bool) -> tuple[str, dict]:
+    """A method spec's name and each key it reads, checked against its ``gammas`` and whether its pair has truth."""
+    name, keys = _spec_keys(METHODS, "method", spec.get("name"), spec)
+    if not (gammas and isinstance(gammas, list) and all(isinstance(g, (int, float)) for g in gammas)):
+        raise ConfigError(f"method {name!r} gammas {gammas!r} is not a non-empty list of numbers")
+    for gamma in gammas:
+        if not 0 <= gamma < 0.5:
+            raise ConfigError(f"gamma {gamma} outside [0, 0.5)")
+        if name == "ea" and gamma <= 0:
+            raise ConfigError("ea requires gamma > 0 (gamma maps to alpha = (1-gamma)/gamma)")
+    if spec.get("restrict_k") is not None and not has_truth:
+        raise ConfigError("restricted mapping sets require a pair with ground truth")
+    return name, keys
 
 
 def generate_pair(spec: dict, seed: int) -> tuple[Graph, Graph, Permutation | None]:
@@ -138,8 +184,7 @@ def generate_pair(spec: dict, seed: int) -> tuple[Graph, Graph, Permutation | No
         g2 = stochastic_block_model(sizes, density, child_seed(seed, STREAM_NOISE))
         return g1, g2, None
 
-    noise = spec.get("noise", "none")
-    pe = float(spec.get("pe", 0.0))
+    noise, pe = keys["noise"], float(keys["pe"])
     if noise == "none":
         noisy = g1
     elif noise == "model1":
@@ -154,40 +199,21 @@ def generate_pair(spec: dict, seed: int) -> tuple[Graph, Graph, Permutation | No
 
 def run_cell(pair_spec: dict, method_spec: dict, gamma: float, seed: int) -> dict:
     """Execute one (method, gamma, seed) cell and return its metrics record."""
-    name = method_spec.get("name")
     g1, g2, truth = generate_pair(pair_spec, seed)
+    name, keys = _method_keys(method_spec, [gamma], truth is not None)
     start = time.perf_counter()
     if name == "ea":
-        eps = float(method_spec.get("eps", DEFAULT_EA_EPS))
-        if gamma <= 0:
-            raise ConfigError("ea requires gamma > 0 (gamma maps to alpha = (1-gamma)/gamma)")
-        scheme = from_alpha((1 - gamma) / gamma, eps)
-        restrict_k = method_spec.get("restrict_k")
+        scheme = from_alpha((1 - gamma) / gamma, float(keys["eps"]))
         mapping_set = None
-        if restrict_k is not None:
-            if truth is None:
-                raise ConfigError("restricted mapping sets require a pair with ground truth")
-            mapping_set = sample_mapping_set(g1.n, truth, int(restrict_k), child_seed(seed, STREAM_MAPPING_SET))
+        if keys["restrict_k"] is not None:
+            mapping_set = sample_mapping_set(g1.n, truth, keys["restrict_k"], child_seed(seed, STREAM_MAPPING_SET))
         result = eigen_align(
-            g1,
-            g2,
-            scheme,
-            mapping_set,
-            matching=method_spec.get("matching", "exact"),
-            seed=child_seed(seed, STREAM_SOLVER),
+            g1, g2, scheme, mapping_set, matching=keys["matching"], seed=child_seed(seed, STREAM_SOLVER)
         )
     elif name == "lra":
-        result = low_rank_align(
-            g1,
-            g2,
-            gamma,
-            rank_k=int(method_spec.get("rank", 3)),
-            matching=method_spec.get("matching", "exact"),
-        )
-    elif name == "brute":
-        result = brute_force_qap(g1, g2, gamma)
+        result = low_rank_align(g1, g2, gamma, rank_k=keys["rank"], matching=keys["matching"])
     else:
-        raise ConfigError(f"unknown method {name!r}")
+        result = brute_force_qap(g1, g2, gamma)
     wall_ms = (time.perf_counter() - start) * 1000.0
     accuracy = node_accuracy(result.mapping, truth) if truth is not None else None
     scores = (result.matches, result.mismatches, result.neutrals, result.objective)
@@ -224,28 +250,7 @@ def validate_config(config: dict) -> None:
         raise ConfigError("'seeds' must be a list of integers or digit strings")
     _parse_seeds(seeds)
     for method in methods:
-        if method.get("name") not in ("ea", "lra", "brute"):
-            raise ConfigError(f"unknown method {method.get('name')!r}")
-        gammas = method.get("gammas")
-        if not gammas:
-            raise ConfigError(f"method {method.get('name')!r} must list gammas")
-        if not isinstance(gammas, list) or not all(isinstance(g, (int, float)) for g in gammas):
-            raise ConfigError(f"method {method.get('name')!r} gammas must be a list of numbers")
-        for gamma in gammas:
-            if not 0 <= gamma < 0.5:
-                raise ConfigError(f"gamma {gamma} outside [0, 0.5)")
-            if method.get("name") == "ea" and gamma <= 0:
-                raise ConfigError("ea gammas must be positive (gamma maps to alpha)")
-        if method.get("matching", "exact") not in MATCHING_MODES:
-            modes = " or ".join(map(repr, MATCHING_MODES))
-            raise ConfigError(f"method {method.get('name')!r} matching {method['matching']!r} is not {modes}")
-        _check_method_fields(method)
-        if method.get("restrict_k") is not None and family == "er_sbm":
-            raise ConfigError("restricted mapping sets require a pair with ground truth")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+        _method_keys(method, method.get("gammas"), family != "er_sbm")
 
 
 def parse_seed(value, name: str = "seed") -> int:
@@ -263,20 +268,6 @@ def _parse_seeds(seeds: list) -> list[int]:
     if len(set(seeds)) != len(seeds):
         raise ConfigError("seeds must be distinct")
     return seeds
-
-
-def _check_method_fields(method: dict) -> None:
-    """Reject a ``rank``, ``eps`` or ``restrict_k`` that every cell would fail on."""
-    name = method["name"]
-    rank = method.get("rank")
-    if rank is not None and not (_is_int(rank) and 1 <= rank <= SIGN_ENUM_MAX_RANK):
-        raise ConfigError(f"method {name!r} rank {rank!r} is not an integer in [1, {SIGN_ENUM_MAX_RANK}]")
-    eps = method.get("eps")
-    if eps is not None and not ((_is_int(eps) or isinstance(eps, float)) and eps > 0):
-        raise ConfigError(f"method {name!r} eps {eps!r} is not a positive number")
-    restrict_k = method.get("restrict_k")
-    if restrict_k is not None and not (_is_int(restrict_k) and restrict_k > 0):
-        raise ConfigError(f"method {name!r} restrict_k {restrict_k!r} is not a positive integer")
 
 
 def run_sweep(config: dict, jobs: int = 1, seeds_override: list[int] | None = None) -> list[dict]:

@@ -109,13 +109,13 @@ class Permutation:
     mapping: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.mapping, dtype=np.int64)
-        if m.ndim != 1:
-            raise ValueError("permutation mapping must be one-dimensional")
+        m = np.asarray(self.mapping)
+        if m.ndim != 1 or m.dtype.kind not in "iu":  # a float, boolean or string array is refused, not cast
+            raise ValueError(f"permutation mapping must be a one-dimensional integer array, got {m.dtype} {m.shape}")
         n = m.shape[0]
         if not np.array_equal(np.sort(m), np.arange(n)):
             raise ValueError("permutation mapping must be a bijection on 0..n-1")
-        m = m.copy()
+        m = m.astype(np.int64)
         m.flags.writeable = False
         object.__setattr__(self, "mapping", m)
 

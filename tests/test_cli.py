@@ -8,7 +8,17 @@ import pytest
 from specalign import experiments
 from specalign.align import MATCHING_MODES
 from specalign.cli import main
-from specalign.experiments import CSV_COLUMNS, aggregate_rows, run_cell, run_sweep, sweep_rows_to_csv
+from specalign.experiments import (
+    CSV_COLUMNS,
+    METHODS,
+    PAIR_FAMILIES,
+    ConfigError,
+    aggregate_rows,
+    run_cell,
+    run_sweep,
+    sweep_rows_to_csv,
+    validate_config,
+)
 from specalign.graph import load_edge_list, write_edge_list
 from specalign.matching import Assignment
 from specalign.metrics import count_alignment
@@ -101,6 +111,39 @@ class TestGenerate:
     def test_pair_missing_required_key_is_a_config_error(self):
         with pytest.raises(experiments.ConfigError, match="'n'"):
             experiments.generate_pair({"family": "er", "p": 0.1}, 0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_er_sbm_pair_command_draws_the_default_sweep_pair(self, tmp_path, capsys, seed):
+        out = tmp_path / "es"
+        assert run_main(["generate", "pair", "--family", "er_sbm", "--seed", str(seed), "--out", str(out)], capsys)[0] == 0
+        g1, g2, truth = experiments.generate_pair({"family": "er_sbm"}, seed)
+        assert (tmp_path / "es_g1.el").read_text() == write_edge_list(g1)
+        assert (tmp_path / "es_g2.el").read_text() == write_edge_list(g2)
+        sidecar = json.loads((tmp_path / "es.json").read_text())
+        assert sidecar["truth"] is None and truth is None
+        assert sidecar["spec"] == {"family": "er_sbm", **PAIR_FAMILIES["er_sbm"]}
+
+    def test_pair_sidecar_spec_holds_the_family_keys(self, tmp_path, capsys):
+        # --p is not a key of regular, and noise and pe take their defaults
+        argv = ["generate", "pair", "--family", "regular", "--n", "10", "--d", "3", "--p", "0.5"]
+        assert run_main([*argv, "--out", str(tmp_path / "r")], capsys)[0] == 0
+        spec = json.loads((tmp_path / "r.json").read_text())["spec"]
+        assert spec == {"family": "regular", "n": 10, "d": 3, "noise": "none", "pe": 0.0}
+
+    @pytest.mark.parametrize(
+        "options, named",
+        [
+            (["--family", "er", "--n", "10"], ["'er'", "'p'"]),
+            (["--family", "regular", "--d", "3"], ["'regular'", "'n'"]),
+            (["--family", "er", "--n", "10", "--p", "0.3", "--noise", "model1", "--pe", "2"], ["pe 2.0"]),
+            (["--family", "er", "--n", "10", "--p", "0.3", "--pe", "nan"], ["pe nan"]),
+        ],
+    )
+    def test_pair_command_bad_spec_usage_error(self, tmp_path, capsys, options, named):
+        code, _, err = run_main(["generate", "pair", *options, "--out", str(tmp_path / "m")], capsys)
+        assert code == 1
+        assert all(text in err for text in named)
+        assert not (tmp_path / "m.json").exists()
 
     def test_powerlaw_writes_graph_with_table_defaults(self, tmp_path, capsys):
         out = tmp_path / "pl"
@@ -269,8 +312,18 @@ class TestAlign:
 
     @pytest.mark.parametrize(
         "payload, named",
-        [({}, ["truth.json"]), ([0, 1], ["truth.json"]), ({"truth": [1, 0]}, ["2 nodes", "pair_g1.el has 10"])],
-        ids=["no-truth-key", "bare-list", "two-of-ten-nodes"],
+        [
+            ({}, ["truth.json"]),
+            ([0, 1], ["truth.json"]),
+            ({"truth": [1, 0]}, ["2 nodes", "pair_g1.el has 10"]),
+            # numpy would truncate 0.5 to 0, read False and True as 0 and 1, or overflow
+            ({"truth": [0.5, *range(1, 10)]}, ["truth.json"]),
+            ({"truth": [False, True, *range(2, 10)]}, ["truth.json"]),
+            ({"truth": "abc"}, ["truth.json"]),
+            ({"truth": [12345678901234567890, *range(1, 10)]}, ["truth.json"]),
+            ({"truth": [0, 0, *range(2, 10)]}, ["truth.json"]),
+        ],
+        ids=["no-truth-key", "bare-list", "two-of-ten-nodes", "float-id", "boolean-ids", "string", "20-digit-id", "repeated-id"],
     )
     def test_bad_truth_file_fails_before_solving(self, pair, capsys, payload, named):
         truth = pair / "truth.json"
@@ -371,6 +424,14 @@ class TestAlign:
             assert code == 2
             assert f"pair ({named}) out of range for sizes (10, 10)" in err
 
+    @pytest.mark.parametrize("command, option, key", [("ea", "--eps FLOAT", "eps"), ("lra", "--rank INTEGER", "rank")])
+    def test_option_defaults_are_the_method_defaults(self, capsys, command, option, key):
+        code, out, _ = run_main(["align", command, "--help"], capsys)
+        assert code == 0
+        lines = " ".join(out.split())  # help text wraps
+        assert f"{option} [default: {METHODS[command][key]}]" in lines
+        assert f"[default: {METHODS[command]['matching']}]" in lines
+
     @pytest.mark.parametrize("mode", MATCHING_MODES)
     @pytest.mark.parametrize("command, option", [("ea", ["--alpha", "10"]), ("lra", ["--gamma", "0.2"])])
     def test_matching_option_takes_each_mode_and_refuses_others(self, pair, capsys, command, option, mode):
@@ -462,6 +523,14 @@ class TestSweep:
             {**SMALL_CONFIG, "methods": [{"name": "ea", "gammas": [0]}]},
             {"pair": {"family": "er_sbm"}, "methods": [{"name": "ea", "gammas": [0.2], "restrict_k": 2}], "seeds": [0]},
             {**SMALL_CONFIG, "pair": {"family": ["er"], "n": 5, "p": 0.3}},
+            {**SMALL_CONFIG, "pair": {"family": "er", "n": 5, "p": 0.3, "noise": "model1", "pe": "x"}},
+            {**SMALL_CONFIG, "pair": {"family": "er", "n": 5, "p": 0.3, "noise": "model1", "pe": 2}},
+            {**SMALL_CONFIG, "pair": {"family": "er", "n": 5, "p": 0.3, "noise": "none", "pe": None}},
+            {**SMALL_CONFIG, "methods": [{"name": "lra", "gammas": [0.2], "rank": None}]},
+            {**SMALL_CONFIG, "methods": [{"name": "ea", "gammas": [0.2], "eps": None}]},
+            {**SMALL_CONFIG, "methods": [{"name": "lra", "gammas": [0.2], "eps": -1}]},
+            {"pair": {"family": "er_sbm"}, "methods": [{"name": "lra", "gammas": [0.2], "restrict_k": 2}], "seeds": [0]},
+            {**SMALL_CONFIG, "pair": {"family": "er_sbm", "noise": "model1", "pe": 2}},
         ],
         ids=[
             "not-object",
@@ -492,6 +561,14 @@ class TestSweep:
             "ea-gamma-zero",
             "restrict-k-without-truth",
             "family-list",
+            "pe-string",
+            "pe-two",
+            "pe-null",
+            "rank-null",
+            "eps-null",
+            "eps-negative-on-lra",
+            "restrict-k-on-lra-without-truth",
+            "pe-two-on-er-sbm",
         ],
     )
     def test_wrong_typed_config_usage_error(self, tmp_path, capsys, config):
@@ -557,6 +634,33 @@ class TestSweep:
         assert code == 2
         assert "all sweep cells failed" in err
         assert "brute force is limited" in out.read_text()
+
+    @pytest.mark.parametrize("name", list(METHODS))
+    def test_naming_every_method_default_changes_no_row(self, name):
+        pair = {"family": "er", "n": 6, "p": 0.4, "noise": "model1", "pe": 0.1}
+        bare = {"name": name, "gammas": [0.2, 0.3]}
+        configs = [{**SMALL_CONFIG, "pair": pair, "methods": [method], "seeds": [0, 1]} for method in (bare, {**bare, **METHODS[name]})]
+        rows = [run_sweep(config) for config in configs]
+        for row in rows[0] + rows[1]:
+            assert row.pop("wall_ms") is not None and row["error"] == ""
+        assert rows[0] == rows[1]
+
+    @pytest.mark.parametrize(
+        "pair, method, gamma, message",
+        [
+            (SMALL_CONFIG["pair"], {"name": "ea"}, 0.0, "gamma > 0"),
+            ({"family": "er_sbm"}, {"name": "ea", "restrict_k": 2}, 0.2, "ground truth"),
+            (SMALL_CONFIG["pair"], {"name": "lra", "rank": 0}, 0.2, "rank 0"),
+            (SMALL_CONFIG["pair"], {"name": "spectral"}, 0.2, "'spectral'"),
+        ],
+    )
+    def test_sweep_and_cell_refuse_a_method_alike(self, pair, method, gamma, message):
+        # one resolver checks the method for the config and for each cell
+        with pytest.raises(ConfigError, match=message) as refused:
+            validate_config({**SMALL_CONFIG, "pair": pair, "methods": [{**method, "gammas": [gamma]}]})
+        with pytest.raises(ConfigError) as failed:
+            run_cell(pair, method, gamma, 0)
+        assert str(failed.value) == str(refused.value)
 
     def test_er_sbm_pair_needs_no_keys(self):
         rows = run_sweep({**SMALL_CONFIG, "pair": {"family": "er_sbm"}})

@@ -134,6 +134,16 @@ class TestPermutation:
         with pytest.raises(ValueError, match="bijection"):
             Permutation(np.array([0, 0, 1]))
 
+    @pytest.mark.parametrize("mapping", [np.array([0.0, 1.0, 2.0]), np.array([0.5, 1, 2]), np.array([False, True])])
+    def test_refuses_non_integer_mapping(self, mapping):
+        # a cast would truncate 0.5 to 0 and read the booleans as 0 and 1
+        with pytest.raises(ValueError, match="integer array"):
+            Permutation(mapping)
+
+    def test_stores_int64(self):
+        p = Permutation(np.array([1, 0], dtype=np.int32))
+        assert p.mapping.dtype == np.int64 and p.mapping.tolist() == [1, 0]
+
     @given(st.permutations(list(range(6))), st.integers(0, 2**31 - 1))
     def test_preserves_edge_count_and_degrees(self, perm, seed):
         rng = np.random.default_rng(seed)
