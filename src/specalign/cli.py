@@ -19,11 +19,10 @@ import numpy as np
 from .align import MATCHING_MODES, brute_force_qap, eigen_align, low_rank_align
 from .experiments import (
     METHODS,
-    NOISE_MODELS,
-    PAIR_FAMILIES,
     ConfigError,
     _pair_keys,
     cell_record,
+    first_graph,
     generate_pair,
     parse_seed,
     run_sweep,
@@ -32,12 +31,11 @@ from .experiments import (
 from .graph import Graph, Permutation, load_edge_list, parse_id_pair, write_edge_list
 from .matching import Assignment
 from .metrics import count_alignment, generalized_objective, node_accuracy
-from .randgen import erdos_renyi, power_law, random_regular, stochastic_block_model
 from .score import MappingSet, ScoreScheme, build_alignment_matrix, from_alpha
 
 USAGE_EXIT = 1
 RUNTIME_EXIT = 2
-POWERLAW, EA, LRA = PAIR_FAMILIES["powerlaw"], METHODS["ea"], METHODS["lra"]  # the option defaults
+EA, LRA = METHODS["ea"], METHODS["lra"]  # the option defaults
 
 
 @click.group()
@@ -56,88 +54,45 @@ def _write_sidecar(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _single_graph_command(family: str, params: dict, g: Graph, seed: int, out: str) -> None:
+def _json(text: str, what: str):
+    """``text`` parsed as JSON; text that is not JSON is a usage error naming ``what``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise click.UsageError(f"{what} is not valid JSON: {exc}")
+
+
+SPEC_OPTION = click.option(
+    "--spec", required=True, callback=lambda ctx, param, text: _json(text, "--spec"),
+    help='Pair spec as JSON text, as a sweep config\'s "pair" holds it.',
+)
+
+
+@generate.command("graph")
+@SPEC_OPTION
+@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--out", type=str, default="graph", show_default=True, help="Output path prefix.")
+def generate_graph_cmd(spec, seed, out):
+    """The first graph of a pair spec, drawn at the seed itself (a pair draws it at a child seed)."""
+    family, keys = _pair_keys(spec)
+    g = first_graph(family, keys, seed)
     prefix = Path(out)
     prefix.with_suffix(".el").write_text(write_edge_list(g))
     _write_sidecar(
         prefix.with_suffix(".json"),
-        {"family": family, "params": params, "seed": seed, "n": g.n, "edges": g.edge_count},
+        {"spec": {"family": family, **keys}, "seed": seed, "n": g.n, "edges": g.edge_count},
     )
     click.echo(f"wrote {prefix.with_suffix('.el')} ({g.n} nodes, {g.edge_count} edges)")
 
 
-@generate.command("er")
-@click.option("--n", type=int, required=True)
-@click.option("--p", type=float, required=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", type=str, default="er", show_default=True, help="Output path prefix.")
-def generate_er(n, p, seed, out):
-    """Erdos-Renyi graph G(n, p)."""
-    _single_graph_command("er", {"n": n, "p": p}, erdos_renyi(n, p, seed), seed, out)
-
-
-def _parse_list(text: str, convert, option: str) -> list:
-    """A comma-separated option value as a list of numbers; a bad entry is a usage error."""
-    try:
-        return [convert(item) for item in text.split(",")]
-    except ValueError:
-        raise click.UsageError(f"{option} must list comma-separated {convert.__name__} values, got {text!r}")
-
-
-@generate.command("sbm")
-@click.option("--sizes", type=str, required=True, help="Comma-separated block sizes, e.g. 25,25.")
-@click.option("--within", type=str, required=True, help="Comma-separated within-block densities.")
-@click.option("--cross", type=float, required=True, help="Cross-block density.")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", type=str, default="sbm", show_default=True)
-def generate_sbm(sizes, within, cross, seed, out):
-    """Stochastic block model graph."""
-    block_sizes = _parse_list(sizes, int, "--sizes")
-    within_densities = _parse_list(within, float, "--within")
-    if len(within_densities) != len(block_sizes):
-        raise click.UsageError("--within must list one density per block")
-    density = np.full((len(block_sizes), len(block_sizes)), cross)
-    np.fill_diagonal(density, within_densities)
-    g = stochastic_block_model(block_sizes, density, seed)
-    _single_graph_command("sbm", {"block_sizes": block_sizes, "density": density.tolist()}, g, seed, out)
-
-
-@generate.command("regular")
-@click.option("--n", type=int, required=True)
-@click.option("--d", type=int, required=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", type=str, default="regular", show_default=True)
-def generate_regular(n, d, seed, out):
-    """Random d-regular graph."""
-    _single_graph_command("regular", {"n": n, "d": d}, random_regular(n, d, seed), seed, out)
-
-
-@generate.command("powerlaw")
-@click.option("--n", type=int, required=True)
-@click.option("--m", type=int, default=POWERLAW["m"], show_default=True, help="Edges per new node.")
-@click.option("--n0", type=int, default=POWERLAW["n0"], show_default=True, help="Seed subgraph size.")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", type=str, default="powerlaw", show_default=True)
-def generate_powerlaw(n, m, n0, seed, out):
-    """Preferential-attachment graph."""
-    _single_graph_command("powerlaw", {"n": n, "m": m, "n0": n0}, power_law(n, m, n0, seed), seed, out)
-
-
 @generate.command("pair")
-@click.option("--family", type=click.Choice(["er", "regular", "powerlaw", "er_sbm"]), required=True)
-@click.option("--n", type=int, help="Node count.")
-@click.option("--p", type=float, help="Edge density (er, er_sbm).")
-@click.option("--d", type=int, help="Degree (regular).")
-@click.option("--m", type=int, help="Edges per new node (powerlaw).")
-@click.option("--n0", type=int, help="Seed subgraph size (powerlaw).")
-@click.option("--noise", type=click.Choice(NOISE_MODELS))
-@click.option("--pe", type=float, help="Noise probability.")
+@SPEC_OPTION
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=str, default="pair", show_default=True, help="Output path prefix.")
-def generate_pair_cmd(family, seed, out, **options):
-    """A graph pair (second graph relabeled, optionally noisy) plus truth; unset keys take the family's defaults."""
-    given = {key: value for key, value in options.items() if value is not None}
-    spec = {"family": family, **_pair_keys({"family": family, **given})[1]}
+def generate_pair_cmd(spec, seed, out):
+    """A sweep's graph pair at the seed, plus its truth; keys left out take the family's defaults."""
+    family, keys = _pair_keys(spec)
+    spec = {"family": family, **keys}
     g1, g2, truth = generate_pair(spec, seed)
     prefix = Path(out)
     path1 = Path(f"{prefix}_g1.el")
@@ -302,10 +257,7 @@ def eval_cmd(g1_path, g2_path, mapping_tsv, gamma, truth):
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True, help="Parallel worker processes.")
 def sweep_cmd(config_path, out, jobs):
     """Run the cross product of (method, gamma, seed) from a JSON config."""
-    try:
-        config = json.loads(Path(config_path).read_text())
-    except json.JSONDecodeError as exc:
-        raise click.UsageError(f"config is not valid JSON: {exc}")
+    config = _json(Path(config_path).read_text(), "config")
     env_seed = os.environ.get("SPECALIGN_SEED")
     seeds_override = None if env_seed is None else [parse_seed(env_seed, "SPECALIGN_SEED")]
     rows = run_sweep(config, jobs=jobs, seeds_override=seeds_override)

@@ -35,6 +35,7 @@ __all__ = [
     "ConfigError",
     "cell_record",
     "child_seed",
+    "first_graph",
     "generate_pair",
     "parse_seed",
     "run_cell",
@@ -115,8 +116,18 @@ def _is_number(value) -> bool:
     return _is_int(value) or isinstance(value, float)
 
 
-# each spec key's rule: whether a value passes, and what it must be; keys without one are checked where they are used
+def _list_of(rule):
+    return lambda value: isinstance(value, list) and all(rule(item) for item in value)
+
+
+# each spec key's rule: whether a value passes, and what it must be; keys without one are checked where they are used.
+# Generator keys get a type only: their ranges and the relations between them are the generators' to check.
 KEY_RULES = {
+    **dict.fromkeys(("n", "d", "m", "n0"), (_is_int, "an integer")),
+    **dict.fromkeys(("p", "cross"), (_is_number, "a number")),
+    "block_sizes": (_list_of(_is_int), "a list of integers"),
+    "within": (_list_of(_is_number), "a list of numbers"),
+    "density": (_list_of(_list_of(_is_number)), "a list of lists of numbers"),
     "noise": (lambda v: v in NOISE_MODELS, f"one of {', '.join(NOISE_MODELS)}"),
     "pe": (lambda v: _is_number(v) and 0 <= v <= 1, "a number in [0, 1]"),
     "eps": (lambda v: _is_number(v) and v > 0, "a positive number"),
@@ -142,6 +153,8 @@ def _spec_keys(table: dict, kind: str, name, spec: dict) -> tuple[str, dict]:
 
 def _pair_keys(spec: dict) -> tuple[str, dict]:
     """A pair spec's family and each key that family reads, from the spec or the family's default."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"pair spec {spec!r} is not an object")
     return _spec_keys(PAIR_FAMILIES, "pair family", spec.get("family"), spec)
 
 
@@ -160,6 +173,17 @@ def _method_keys(spec: dict, gammas, has_truth: bool) -> tuple[str, dict]:
     return name, keys
 
 
+def first_graph(family: str, keys: dict, seed: int) -> Graph:
+    """The first graph of a ``family`` pair, drawn from its resolved ``keys`` (see :func:`_pair_keys`) at ``seed``."""
+    if family in ("er", "er_sbm"):
+        return erdos_renyi(keys["n"], keys["p"], seed)
+    if family == "sbm":
+        return stochastic_block_model(keys["block_sizes"], keys["density"], seed)
+    if family == "regular":
+        return random_regular(keys["n"], keys["d"], seed)
+    return power_law(keys["n"], keys["m"], keys["n0"], seed)
+
+
 def generate_pair(spec: dict, seed: int) -> tuple[Graph, Graph, Permutation | None]:
     """Build the (G1, G2, truth) triple for one cell.
 
@@ -168,29 +192,23 @@ def generate_pair(spec: dict, seed: int) -> tuple[Graph, Graph, Permutation | No
     independent blockmodel against the first graph (no ground truth).
     """
     family, keys = _pair_keys(spec)
-    graph_seed = child_seed(seed, STREAM_GRAPH)
-    if family in ("er", "er_sbm"):
-        g1 = erdos_renyi(int(keys["n"]), float(keys["p"]), graph_seed)
-    elif family == "sbm":
-        g1 = stochastic_block_model([int(s) for s in keys["block_sizes"]], keys["density"], graph_seed)
-    elif family == "regular":
-        g1 = random_regular(int(keys["n"]), int(keys["d"]), graph_seed)
-    else:
-        g1 = power_law(int(keys["n"]), int(keys["m"]), int(keys["n0"]), graph_seed)
+    g1 = first_graph(family, keys, child_seed(seed, STREAM_GRAPH))
     if family == "er_sbm":
-        sizes = [int(s) for s in keys["block_sizes"]]
-        density = np.full((len(sizes), len(sizes)), float(keys["cross"]))
-        np.fill_diagonal(density, [float(x) for x in keys["within"]])
+        sizes, within = keys["block_sizes"], keys["within"]
+        if len(within) != len(sizes):
+            raise ValueError(f"er_sbm within {within!r} must hold one density per block of block_sizes {sizes!r}")
+        density = np.full((len(sizes), len(sizes)), keys["cross"], dtype=np.float64)  # an int cross would truncate within
+        np.fill_diagonal(density, within)
         g2 = stochastic_block_model(sizes, density, child_seed(seed, STREAM_NOISE))
         return g1, g2, None
 
-    noise, pe = keys["noise"], float(keys["pe"])
+    noise, pe = keys["noise"], keys["pe"]
     if noise == "none":
         noisy = g1
     elif noise == "model1":
         noisy = noise_model_I(g1, pe, child_seed(seed, STREAM_NOISE))
     else:
-        p_clean = float(keys["p"]) if "p" in keys else _density(g1)
+        p_clean = keys["p"] if "p" in keys else _density(g1)
         noisy = noise_model_II(g1, pe, p_clean, child_seed(seed, STREAM_NOISE))
     truth = random_permutation(g1.n, child_seed(seed, STREAM_PERMUTATION))
     g2 = apply_permutation(noisy, truth)
@@ -233,8 +251,6 @@ def validate_config(config: dict) -> None:
         raise ConfigError("config must be a JSON object")
     if "pair" not in config:
         raise ConfigError("config is missing 'pair'")
-    if not isinstance(config["pair"], dict):
-        raise ConfigError("'pair' must be an object")
     methods = config.get("methods")
     if not methods:
         raise ConfigError("config must list at least one method")

@@ -22,7 +22,7 @@ from specalign.experiments import (
 from specalign.graph import load_edge_list, write_edge_list
 from specalign.matching import Assignment
 from specalign.metrics import count_alignment
-from specalign.randgen import power_law
+from specalign.randgen import erdos_renyi, power_law, random_regular, stochastic_block_model
 
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
 
@@ -65,22 +65,38 @@ MINI_CONFIG = {
 }
 
 
+def generate(command, spec, *options):
+    """The argv of ``generate <command> --spec <spec as JSON text>`` and its other options."""
+    return ["generate", command, "--spec", json.dumps(spec), *map(str, options)]
+
+
+SBM_DENSITY = [[0.5, 0.1], [0.1, 0.4]]
+
+# a spec of each family; er_sbm's integer cross must still give a float density matrix
+FAMILY_SPECS = {
+    "er": {"family": "er", "n": 12, "p": 0.3, "noise": "model1", "pe": 0.1},
+    "sbm": {"family": "sbm", "block_sizes": [6, 8], "density": SBM_DENSITY, "noise": "model2", "pe": 0.05},
+    "regular": {"family": "regular", "n": 10, "d": 3},
+    "powerlaw": json.loads((PRESETS / "fig3d.json").read_text())["pair"],
+    "er_sbm": {"family": "er_sbm", "n": 12, "block_sizes": [5, 7], "within": [0.3, 0.5], "cross": 0},
+}
+
+
 class TestGenerate:
     def test_er_writes_graph_and_sidecar(self, tmp_path, capsys):
         out = tmp_path / "g"
-        code, _, _ = run_main(["generate", "er", "--n", "10", "--p", "0.3", "--seed", "4", "--out", str(out)], capsys)
+        code, _, _ = run_main(generate("graph", {"family": "er", "n": 10, "p": 0.3}, "--seed", 4, "--out", out), capsys)
         assert code == 0
         g = load_edge_list((tmp_path / "g.el").read_text())
         assert g.n == 10
         sidecar = json.loads((tmp_path / "g.json").read_text())
         assert sidecar["seed"] == 4
+        assert sidecar["spec"] == {"family": "er", "n": 10, "p": 0.3, "noise": "none", "pe": 0.0}
 
     def test_pair_with_truth(self, tmp_path, capsys):
         out = tmp_path / "p"
-        code, _, _ = run_main(
-            ["generate", "pair", "--family", "regular", "--n", "10", "--d", "3", "--noise", "none", "--seed", "3", "--out", str(out)],
-            capsys,
-        )
+        spec = {"family": "regular", "n": 10, "d": 3, "noise": "none"}
+        code, _, _ = run_main(generate("pair", spec, "--seed", 3, "--out", out), capsys)
         assert code == 0
         sidecar = json.loads((tmp_path / "p.json").read_text())
         assert sorted(sidecar["truth"]) == list(range(10))
@@ -90,32 +106,73 @@ class TestGenerate:
 
     def test_noisy_powerlaw_pair(self, tmp_path, capsys):
         out = tmp_path / "n"
-        code, _, _ = run_main(
-            ["generate", "pair", "--family", "powerlaw", "--n", "30", "--noise", "model2", "--pe", "0.05", "--seed", "1", "--out", str(out)],
-            capsys,
-        )
+        spec = {"family": "powerlaw", "n": 30, "noise": "model2", "pe": 0.05}
+        code, _, _ = run_main(generate("pair", spec, "--seed", 1, "--out", out), capsys)
         assert code == 0
         assert (tmp_path / "n_g1.el").exists() and (tmp_path / "n_g2.el").exists()
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_pair_command_draws_the_sweep_pair(self, tmp_path, capsys, seed):
-        # the sweep's fig3d pair, from the options README gives for it
+        # the sweep's fig3d pair, from the spec README gives for it
         out = tmp_path / "d"
-        argv = ["generate", "pair", "--family", "powerlaw", "--n", "50", "--noise", "model2", "--pe", "0.05"]
-        assert run_main([*argv, "--seed", str(seed), "--out", str(out)], capsys)[0] == 0
+        spec = {"family": "powerlaw", "n": 50, "noise": "model2", "pe": 0.05}
+        assert run_main(generate("pair", spec, "--seed", seed, "--out", out), capsys)[0] == 0
         g1, g2, truth = experiments.generate_pair(json.loads((PRESETS / "fig3d.json").read_text())["pair"], seed)
         assert (tmp_path / "d_g1.el").read_text() == write_edge_list(g1)
         assert (tmp_path / "d_g2.el").read_text() == write_edge_list(g2)
         assert json.loads((tmp_path / "d.json").read_text())["truth"] == truth.mapping.tolist()
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("family", list(PAIR_FAMILIES))
+    def test_pair_command_writes_the_library_pair(self, tmp_path, capsys, family, seed):
+        spec = FAMILY_SPECS[family]
+        assert run_main(generate("pair", spec, "--seed", seed, "--out", tmp_path / "f"), capsys)[0] == 0
+        g1, g2, truth = experiments.generate_pair(spec, seed)
+        assert (tmp_path / "f_g1.el").read_text() == write_edge_list(g1)
+        assert (tmp_path / "f_g2.el").read_text() == write_edge_list(g2)
+        sidecar = json.loads((tmp_path / "f.json").read_text())
+        assert sidecar["truth"] == (None if truth is None else truth.mapping.tolist())
+        assert sidecar["spec"] == {**PAIR_FAMILIES[family], **spec}
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize(
+        "spec, draw",
+        [
+            ({"family": "er", "n": 12, "p": 0.3}, lambda seed: erdos_renyi(12, 0.3, seed)),
+            ({"family": "sbm", "block_sizes": [6, 8], "density": SBM_DENSITY}, lambda seed: stochastic_block_model([6, 8], SBM_DENSITY, seed)),
+            ({"family": "regular", "n": 10, "d": 3}, lambda seed: random_regular(10, 3, seed)),
+            ({"family": "powerlaw", "n": 20, "m": 2}, lambda seed: power_law(20, 2, 5, seed)),
+        ],
+        ids=["er", "sbm", "regular", "powerlaw"],
+    )
+    def test_graph_command_writes_the_generator_graph_at_the_seed(self, tmp_path, capsys, spec, draw, seed):
+        assert run_main(generate("graph", spec, "--seed", seed, "--out", tmp_path / "g"), capsys)[0] == 0
+        assert (tmp_path / "g.el").read_text() == write_edge_list(draw(seed))
+
     def test_pair_missing_required_key_is_a_config_error(self):
         with pytest.raises(experiments.ConfigError, match="'n'"):
             experiments.generate_pair({"family": "er", "p": 0.1}, 0)
 
+    @pytest.mark.parametrize("within", [[0.1], [0.1, 0.3, 0.5]])
+    def test_er_sbm_needs_one_within_per_block(self, tmp_path, capsys, within):
+        spec = {"family": "er_sbm", "block_sizes": [25, 25], "within": within}
+        with pytest.raises(ValueError, match=r"within .* block_sizes \[25, 25\]"):
+            experiments.generate_pair(spec, 0)
+        code, _, err = run_main(generate("pair", spec, "--out", tmp_path / "w"), capsys)
+        assert code == 2
+        assert f"within {within}" in err and "block_sizes [25, 25]" in err
+        assert not (tmp_path / "w.json").exists()
+
+    def test_er_sbm_integer_cross_keeps_within(self):
+        # an integer density matrix would truncate within to 0 and give an empty blockmodel
+        pairs = [experiments.generate_pair({"family": "er_sbm", "cross": cross}, 3) for cross in (0, 0.0)]
+        assert pairs[0][1].edge_count > 0
+        assert [write_edge_list(g) for g in pairs[0][:2]] == [write_edge_list(g) for g in pairs[1][:2]]
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_er_sbm_pair_command_draws_the_default_sweep_pair(self, tmp_path, capsys, seed):
         out = tmp_path / "es"
-        assert run_main(["generate", "pair", "--family", "er_sbm", "--seed", str(seed), "--out", str(out)], capsys)[0] == 0
+        assert run_main(generate("pair", {"family": "er_sbm"}, "--seed", seed, "--out", out), capsys)[0] == 0
         g1, g2, truth = experiments.generate_pair({"family": "er_sbm"}, seed)
         assert (tmp_path / "es_g1.el").read_text() == write_edge_list(g1)
         assert (tmp_path / "es_g2.el").read_text() == write_edge_list(g2)
@@ -124,69 +181,48 @@ class TestGenerate:
         assert sidecar["spec"] == {"family": "er_sbm", **PAIR_FAMILIES["er_sbm"]}
 
     def test_pair_sidecar_spec_holds_the_family_keys(self, tmp_path, capsys):
-        # --p is not a key of regular, and noise and pe take their defaults
-        argv = ["generate", "pair", "--family", "regular", "--n", "10", "--d", "3", "--p", "0.5"]
-        assert run_main([*argv, "--out", str(tmp_path / "r")], capsys)[0] == 0
+        # p is not a key of regular, and noise and pe take their defaults
+        spec = {"family": "regular", "n": 10, "d": 3, "p": 0.5}
+        assert run_main(generate("pair", spec, "--out", tmp_path / "r"), capsys)[0] == 0
         spec = json.loads((tmp_path / "r.json").read_text())["spec"]
         assert spec == {"family": "regular", "n": 10, "d": 3, "noise": "none", "pe": 0.0}
 
     @pytest.mark.parametrize(
         "options, named",
         [
-            (["--family", "er", "--n", "10"], ["'er'", "'p'"]),
-            (["--family", "regular", "--d", "3"], ["'regular'", "'n'"]),
-            (["--family", "er", "--n", "10", "--p", "0.3", "--noise", "model1", "--pe", "2"], ["pe 2.0"]),
-            (["--family", "er", "--n", "10", "--p", "0.3", "--pe", "nan"], ["pe nan"]),
+            (["--spec", '{"family": "er", "n": 10}'], ["'er'", "'p'"]),
+            (["--spec", '{"family": "regular", "d": 3}'], ["'regular'", "'n'"]),
+            (["--spec", '{"family": "er", "n": 10, "p": 0.3, "noise": "model1", "pe": 2.0}'], ["pe 2.0"]),
+            (["--spec", '{"family": "er", "n": 10, "p": 0.3, "pe": NaN}'], ["pe nan"]),
+            (["--spec", "{not json"], ["--spec is not valid JSON"]),
+            (["--spec", '["er"]'], ["pair spec ['er'] is not an object"]),
+            (["--spec", '{"family": "erx"}'], ["'erx'"]),
+            (["--spec", '{"family": "er", "n": 5.5, "p": 0.3}'], ["'er'", "n 5.5"]),
         ],
     )
     def test_pair_command_bad_spec_usage_error(self, tmp_path, capsys, options, named):
-        code, _, err = run_main(["generate", "pair", *options, "--out", str(tmp_path / "m")], capsys)
-        assert code == 1
-        assert all(text in err for text in named)
-        assert not (tmp_path / "m.json").exists()
+        for command in ("pair", "graph"):
+            code, _, err = run_main(["generate", command, *options, "--out", str(tmp_path / "m")], capsys)
+            assert code == 1
+            assert all(text in err for text in named)
+            assert not (tmp_path / "m.json").exists()
 
     def test_powerlaw_writes_graph_with_table_defaults(self, tmp_path, capsys):
         out = tmp_path / "pl"
-        code, _, _ = run_main(["generate", "powerlaw", "--n", "20", "--seed", "5", "--out", str(out)], capsys)
+        code, _, _ = run_main(generate("graph", {"family": "powerlaw", "n": 20}, "--seed", 5, "--out", out), capsys)
         assert code == 0
         assert (tmp_path / "pl.el").read_text() == write_edge_list(power_law(20, 3, 5, 5))
-        assert json.loads((tmp_path / "pl.json").read_text())["params"] == {"n": 20, "m": 3, "n0": 5}
+        spec = json.loads((tmp_path / "pl.json").read_text())["spec"]
+        assert spec == {"family": "powerlaw", "n": 20, "m": 3, "n0": 5, "noise": "none", "pe": 0.0}
 
     def test_sbm_graph(self, tmp_path, capsys):
-        out = tmp_path / "b"
-        code, _, _ = run_main(
-            ["generate", "sbm", "--sizes", "8,8", "--within", "0.3,0.5", "--cross", "0.1", "--seed", "2", "--out", str(out)],
-            capsys,
-        )
+        spec = {"family": "sbm", "block_sizes": [8, 8], "density": [[0.3, 0.1], [0.1, 0.5]]}
+        code, _, _ = run_main(generate("graph", spec, "--seed", 2, "--out", tmp_path / "b"), capsys)
         assert code == 0
         assert load_edge_list((tmp_path / "b.el").read_text()).n == 16
 
-    @pytest.mark.parametrize(
-        "sizes, within, option, bad",
-        [("25,x", "0.1,0.2", "--sizes", "25,x"), ("25,25", "0.1,y", "--within", "0.1,y")],
-    )
-    def test_sbm_malformed_numbers_usage_error(self, tmp_path, capsys, sizes, within, option, bad):
-        code, _, err = run_main(
-            ["generate", "sbm", "--sizes", sizes, "--within", within, "--cross", "0.1", "--out", str(tmp_path / "b")],
-            capsys,
-        )
-        assert code == 1
-        assert option in err and bad in err
-        assert "invalid literal" not in err
-
-    def test_sbm_within_count_mismatch_usage_error(self, tmp_path, capsys):
-        code, _, err = run_main(
-            ["generate", "sbm", "--sizes", "5,5", "--within", "0.1", "--cross", "0.1", "--out", str(tmp_path / "b")],
-            capsys,
-        )
-        assert code == 1
-        assert "--within" in err
-        assert not (tmp_path / "b.el").exists()
-
     def test_invalid_params_nonzero_exit(self, tmp_path, capsys):
-        code, _, err = run_main(
-            ["generate", "regular", "--n", "5", "--d", "3", "--out", str(tmp_path / "x")], capsys
-        )
+        code, _, err = run_main(generate("graph", {"family": "regular", "n": 5, "d": 3}, "--out", tmp_path / "x"), capsys)
         assert code == 2
         assert "even" in err
 
@@ -195,16 +231,15 @@ class TestGenerate:
         [("nan,0.2", "0.1", "density[0, 0] = nan"), ("0.1,0.2", "nan", "density[0, 1] = nan")],
     )
     def test_sbm_non_finite_density_names_it(self, tmp_path, capsys, within, cross, named):
-        code, _, err = run_main(
-            ["generate", "sbm", "--sizes", "5,5", "--within", within, "--cross", cross, "--out", str(tmp_path / "b")],
-            capsys,
-        )
+        (w0, w1), c = map(float, within.split(",")), float(cross)
+        spec = {"family": "sbm", "block_sizes": [5, 5], "density": [[w0, c], [c, w1]]}
+        code, _, err = run_main(generate("graph", spec, "--out", tmp_path / "b"), capsys)
         assert code == 2
         assert named in err
         assert "symmetric" not in err
 
     def test_er_negative_n_names_it(self, tmp_path, capsys):
-        code, _, err = run_main(["generate", "er", "--n", "-3", "--p", "0.1", "--out", str(tmp_path / "g")], capsys)
+        code, _, err = run_main(generate("graph", {"family": "er", "n": -3, "p": 0.1}, "--out", tmp_path / "g"), capsys)
         assert code == 2
         assert "n=-3" in err
         assert "negative dimensions" not in err
@@ -214,7 +249,7 @@ class TestAlign:
     @pytest.fixture()
     def pair(self, tmp_path, capsys):
         out = tmp_path / "pair"
-        run_main(["generate", "pair", "--family", "er", "--n", "10", "--p", "0.3", "--seed", "2", "--out", str(out)], capsys)
+        run_main(generate("pair", {"family": "er", "n": 10, "p": 0.3}, "--seed", 2, "--out", out), capsys)
         return tmp_path
 
     def test_ea_prints_record(self, pair, capsys):
@@ -245,7 +280,7 @@ class TestAlign:
 
     def test_brute_agrees_with_library(self, tmp_path, capsys):
         out = tmp_path / "small"
-        run_main(["generate", "pair", "--family", "er", "--n", "5", "--p", "0.4", "--seed", "9", "--out", str(out)], capsys)
+        run_main(generate("pair", {"family": "er", "n": 5, "p": 0.4}, "--seed", 9, "--out", out), capsys)
         code, text, _ = run_main(
             ["align", "brute", str(tmp_path / "small_g1.el"), str(tmp_path / "small_g2.el"), "--gamma", "0.0"],
             capsys,
@@ -711,6 +746,17 @@ class TestSweep:
             ("seeds", [True], "True"),
             ("seeds", [-1], "-1"),
             ("seeds", ["x"], "'x'"),
+            # a generator key of the wrong type, which a cast would truncate or a cell fail on (exit 0 or 2)
+            ("pair", {"family": "er", "n": 5.5, "p": 0.3}, "pair family 'er' n 5.5 is not an integer"),
+            ("pair", {"family": "regular", "n": 6, "d": 3.7}, "pair family 'regular' d 3.7 is not an integer"),
+            ("pair", {"family": "er", "n": 5, "p": True}, "pair family 'er' p True is not a number"),
+            ("pair", {"family": "er", "n": None, "p": 0.3}, "pair family 'er' n None is not an integer"),
+            ("pair", {"family": "er", "n": "ten", "p": 0.3}, "pair family 'er' n 'ten' is not an integer"),
+            ("pair", {"family": "powerlaw", "n": 20, "n0": 4.0}, "pair family 'powerlaw' n0 4.0 is not an integer"),
+            ("pair", {"family": "er_sbm", "cross": "0.05"}, "pair family 'er_sbm' cross '0.05' is not a number"),
+            ("pair", {"family": "sbm", "block_sizes": [5, "5"], "density": [[0.3, 0.1], [0.1, 0.3]]}, "pair family 'sbm' block_sizes [5, '5']"),
+            ("pair", {"family": "er_sbm", "within": [0.1, "0.3"]}, "pair family 'er_sbm' within [0.1, '0.3']"),
+            ("pair", {"family": "sbm", "block_sizes": [5, 5], "density": [[0.3, "x"], [0.1, 0.3]]}, "pair family 'sbm' density [[0.3, 'x'], [0.1, 0.3]]"),
         ],
     )
     def test_bad_pair_or_seed_names_value(self, tmp_path, capsys, field, value, shown):
