@@ -102,23 +102,17 @@ def eigen_align(
 ) -> AlignmentResult:
     """Leading-eigenvector alignment rounded by bipartite matching.
 
-    ``mapping_set=None`` allows all n1*n2 pairs: on undirected graphs the
-    eigenvector is then computed matrix-free, on directed graphs over the
-    dense matrix of ``MappingSet.full``. A given mapping set is always
-    solved densely (subject to the size cap). Eigenvector entries become
-    matching weights on the allowed cells, and the matching step is exact
-    (``"exact"``) or greedy (``"greedy"``).
+    ``mapping_set=None`` allows all n1*n2 pairs, and the eigenvector is
+    then computed matrix-free. A given mapping set is solved densely
+    (subject to the size cap). Eigenvector entries become matching weights
+    on the allowed cells, and the matching step is exact (``"exact"``) or
+    greedy (``"greedy"``).
     """
     _check_matching(matching)
-    if g1.directed != g2.directed:
-        raise ValueError("graphs must be both directed or both undirected")
     n1, n2 = g1.n, g2.n
 
-    if mapping_set is None and g1.directed:
-        mapping_set = MappingSet.full(n1, n2)
     if mapping_set is None:
-        op = lambda y: alignment_matvec(g1, g2, s, y)  # noqa: E731
-        _, vec = leading_eigenvector(op, n1 * n2, seed=seed)
+        _, vec = leading_eigenvector(lambda y: alignment_matvec(g1, g2, s, y), n1 * n2, seed=seed)
         weights = vec.reshape((n1, n2), order="F")
         allowed = None
     else:

@@ -50,8 +50,10 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
 
 def stochastic_block_model(block_sizes: list[int], density: np.ndarray, seed: int) -> Graph:
     """Undirected blockmodel: pair (i, j) in blocks (a, b) is an edge w.p. density[a, b]."""
-    density = np.asarray(density, dtype=np.float64)
     k = len(block_sizes)
+    if k == 0 or min(block_sizes) <= 0 or sum(block_sizes) > np.iinfo(np.int64).max:
+        raise ValueError(f"block_sizes must be positive and sum to at most 2**63 - 1 nodes, got {list(block_sizes)}")
+    density = np.asarray(density, dtype=np.float64)
     if density.shape != (k, k):
         raise ValueError(f"density must be {k}x{k} for {k} blocks, got {density.shape}")
     if not np.isfinite(density).all():
@@ -61,8 +63,6 @@ def stochastic_block_model(block_sizes: list[int], density: np.ndarray, seed: in
         raise ValueError("density matrix must be symmetric")
     if density.min() < 0 or density.max() > 1:
         raise ValueError("density entries must lie in [0, 1]")
-    if any(s <= 0 for s in block_sizes):
-        raise ValueError("block sizes must be positive")
     block_of = np.repeat(np.arange(k), block_sizes)
     pair_prob = density[:, block_of][block_of]
     rng = np.random.default_rng(seed)

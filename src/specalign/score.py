@@ -7,7 +7,8 @@ Only :func:`alignment_entry` and :func:`directed_alignment_entry` compute
 these scores, and only :func:`edge_codes` forms the int8 edge code that
 names a pair's class. A is available both as a dense matrix over a mapping
 set (two index arrays of its pairs), whose entries are looked up from those
-rules by edge code, and as a matrix-free operator over the full product set.
+rules by edge code, and as a matrix-free operator over the full product set
+whose Kronecker coefficients come from those rules too.
 """
 
 from __future__ import annotations
@@ -123,12 +124,9 @@ class MappingSet:
 
 
 def alignment_entry(s: ScoreScheme, e1: int, e2: int) -> float:
-    """Score one pair of mappings from the two edge indicators.
-
-    Evaluates ``(s1+s2-2*s3)*e1*e2 + (s3-s2)*(e1+e2) + s2``, which equals
-    s1 when both edges exist, s3 when exactly one does, and s2 otherwise.
-    """
-    return (s.s1 + s.s2 - 2 * s.s3) * e1 * e2 + (s.s3 - s.s2) * (e1 + e2) + s.s2
+    """Score of a mapping pair from its two edge indicators: s1 if both edges exist, s3 if one does, else s2."""
+    c = _kronecker_coefficients(s, False)
+    return c[1, 1] * e1 * e2 + c[0, 1] * (e1 + e2) + c[0, 0]
 
 
 def directed_alignment_entry(
@@ -182,11 +180,16 @@ def build_alignment_matrix(g1: Graph, g2: Graph, s: ScoreScheme, mapping_set: Ma
         )
     code = edge_codes(g1, g2, mapping_set.rows, mapping_set.cols)
     if g1.directed:
-        code = 4 * code + code.T  # bits (g1 forward, g2 forward, g1 backward, g2 backward)
-        table = [directed_alignment_entry(s, f1, b1, f2, b2) for f1, f2, b1, b2 in itertools.product((0, 1), repeat=4)]
-    else:
-        table = [alignment_entry(s, *bits) for bits in itertools.product((0, 1), repeat=2)]
-    return np.array(table)[code]
+        code = 4 * code + code.T
+    return _score_table(s, g1.directed)[code]
+
+
+def _score_table(s: ScoreScheme, directed: bool) -> np.ndarray:
+    """Each edge code's score: code ``2*e1 + e2``, or directed bits (g1 fwd, g2 fwd, g1 bwd, g2 bwd)."""
+    if directed:
+        bits = itertools.product((0, 1), repeat=4)
+        return np.array([directed_alignment_entry(s, f1, b1, f2, b2) for f1, f2, b1, b2 in bits])
+    return np.array([alignment_entry(s, *bits) for bits in itertools.product((0, 1), repeat=2)])
 
 
 def edge_codes(g1: Graph, g2: Graph, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -202,40 +205,61 @@ def edge_codes(g1: Graph, g2: Graph, rows: np.ndarray, cols: np.ndarray) -> np.n
     return code
 
 
+def _kronecker_coefficients(s: ScoreScheme, directed: bool) -> np.ndarray:
+    """c[a, b] weighs ``K1_a Y K2_b^T``, a and b indexing J, A (directed: J, A^T, A, A∘A^T)."""
+    if not directed:
+        side = s.s3 - s.s2
+        return np.array([[s.s2, side], [side, s.s1 + s.s2 - 2 * s.s3]])
+    c = _score_table(s, True).reshape(2, 2, 2, 2)
+    for axis in range(4):  # the score is multilinear in its four bits: Möbius-transform its table
+        c = np.diff(c, axis=axis, prepend=0)
+    c = c.transpose(0, 2, 1, 3).reshape(4, 4)  # a = 2 * forward + backward bit of g1, b of g2
+    return (c + c.T) / 2  # symmetric up to rounding, as swapping the graphs keeps each score
+
+
+def _monomials(g: Graph) -> list[np.ndarray]:
+    a = g.as_float()
+    return [a.T, a, a * a.T] if g.directed else [a]
+
+
 def alignment_matvec(g1: Graph, g2: Graph, s: ScoreScheme, y: np.ndarray) -> np.ndarray:
     """Product of the full (unrestricted) alignment matrix with ``y``.
 
     ``y`` uses the column-major vectorization ``y[i + j' * n1] = X[i, j']``.
-    The three Kronecker-structured terms of the alignment matrix each act
-    as a sandwich product on the n1 x n2 unfolding of ``y``, so the full
-    matrix is never materialized. Undirected graphs only.
+    Each term ``c[a, b] * kron(K2_b, K1_a)`` (:func:`_kronecker_coefficients`)
+    acts on the n1 x n2 unfolding Y of ``y`` as ``K1_a Y K2_b^T``, J terms as
+    row and column sums, so the full matrix is never materialized.
 
-    Besides ``y``, a call holds at most three n1 x n2 float blocks at once
-    (for n1 == n2; each float adjacency counts as one): each adjacency is
-    converted for its own product and released after it, the side terms
-    are written into ``A1 Y``'s block, and that block is released before
-    the column-major copy of the result. With the iterate and its product
-    in :func:`spectral.leading_eigenvector`, a power-iteration step holds
-    at most four blocks.
+    On undirected graphs a call holds, besides ``y``, at most three n1 x n2
+    float blocks at once (for n1 == n2; each float adjacency counts as
+    one): each adjacency is converted for its own product and released
+    after it, the side terms are written into ``A1 Y``'s block, and that
+    block is released before the column-major copy of the result. With the
+    iterate and its product in :func:`spectral.leading_eigenvector`, a
+    power-iteration step holds at most four blocks.
     """
-    if g1.directed or g2.directed:
-        raise ValueError("the implicit alignment operator supports undirected graphs only")
+    if g1.directed != g2.directed:
+        raise ValueError("graphs must be both directed or both undirected")
     n1, n2 = g1.n, g2.n
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (n1 * n2,):
         raise ValueError(f"vector length {y.shape} does not match n1*n2 = {n1 * n2}")
     Y = y.reshape((n1, n2), order="F")
-    a1_y = g1.as_float() @ Y
-    a2 = g2.as_float()
-    coupled = a1_y @ a2.T
-    g1_side = a1_y.sum(axis=1, keepdims=True)
-    g2_side = Y.sum(axis=0, keepdims=True) @ a2.T
-    del a2
-    total = Y.sum()
-    coupled *= s.s1 + s.s2 - 2 * s.s3
-    side = np.add(g1_side, g2_side, out=a1_y)
-    side *= s.s3 - s.s2
-    coupled += side
-    del a1_y, side
-    coupled += s.s2 * total
+    c = _kronecker_coefficients(s, g1.directed)
+    k1_y = [k1 @ Y for k1 in _monomials(g1)]
+    k2 = _monomials(g2)
+    g2_sides = [Y.sum(axis=0, keepdims=True) @ k.T for k in k2]
+    coupled = None
+    for a, b in itertools.product(range(len(k2)), repeat=2):
+        term = k1_y[a] @ k2[b].T
+        term *= c[a + 1, b + 1]
+        coupled = term if coupled is None else np.add(coupled, term, out=coupled)
+        del term
+    del k2
+    for a, g2_side in enumerate(g2_sides):  # a one-graph term and its mirror share a coefficient
+        side = np.add(k1_y[a].sum(axis=1, keepdims=True), g2_side, out=k1_y[a])
+        side *= c[a + 1, 0]
+        coupled += side
+    del k1_y, side
+    coupled += c[0, 0] * Y.sum()
     return coupled.reshape(n1 * n2, order="F")

@@ -65,8 +65,8 @@ def leading_eigenvector(
 
     A step holds the iterate, the product and one temporary block for
     the residual; the previous product is released before the next one
-    runs, so with :func:`score.alignment_matvec` a step holds at most four
-    n1 x n2 blocks. The product is never written to, since a callable may
+    runs, so with :func:`score.alignment_matvec` on an undirected pair a
+    step holds at most four n1 x n2 blocks. The product is never written to, since a callable may
     return a buffer of its own.
     """
     if callable(op):

@@ -17,11 +17,11 @@ from specalign.align import (
     rounding_gap_bound,
 )
 from conftest import pairs_of
-from specalign.graph import Graph, pad_to
+from specalign.graph import Graph, apply_permutation, pad_to
 from specalign.matching import Assignment, greedy_matching, hungarian_max_weight
-from specalign.metrics import count_alignment_ordered, expected_alignment_matrix, generalized_objective
+from specalign.metrics import count_alignment, count_alignment_ordered, expected_alignment_matrix, generalized_objective
 from specalign.randgen import erdos_renyi, noise_model_II, random_permutation, sample_mapping_set
-from specalign.score import MappingSet, ScoreScheme, from_alpha
+from specalign.score import MappingSet, ScoreScheme, alignment_matvec, from_alpha
 from specalign.spectral import psd_shift, top_k_eigs
 
 PATH3 = Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -86,15 +86,11 @@ class TestEigenAlign:
         g1 = erdos_renyi(8, 0.4, 0)
         g2 = erdos_renyi(8, 0.4, 1)
         res = eigen_align(g1, g2, from_alpha(3, 0.001), seed=5)
-        from specalign.metrics import count_alignment
-
         assert count_alignment(g1, g2, res.mapping) == (res.matches, res.mismatches, res.neutrals)
 
     def test_restricted_mapping_set_respected(self):
         truth = random_permutation(12, 3)
         g1 = erdos_renyi(12, 0.3, 7)
-        from specalign.graph import apply_permutation
-
         g2 = apply_permutation(g1, truth)
         r = sample_mapping_set(12, truth, 2, 11)
         res = eigen_align(g1, g2, from_alpha(10, 0.001), r, seed=1)
@@ -117,7 +113,30 @@ class TestEigenAlign:
         g1 = Graph.from_edges(4, [(0, 1), (1, 2), (3, 2)], directed=True)
         g2 = Graph.from_edges(4, [(0, 1), (1, 2), (3, 2)], directed=True)
         res = eigen_align(g1, g2, ScoreScheme(4, 2, 1))
-        assert res.matches >= 2
+        assert res.matches == 3 and pairs_of(res.mapping) == tuple((i, i) for i in range(4))
+
+    def test_directed_pair_past_the_dense_cap(self):
+        # 6,400^2 entries exceed the dense cap; the matrix-free operator serves directed pairs too
+        adj = (np.random.default_rng(0).random((80, 80)) < 0.1).astype(np.int8)
+        np.fill_diagonal(adj, 0)
+        g = Graph(adj, directed=True)
+        perm = random_permutation(80, 1)
+        res = eigen_align(g, apply_permutation(g, perm), from_alpha(4, 0.001))
+        assert res.mapping.cols.tolist() == perm.mapping[res.mapping.rows].tolist()
+        assert len(res.mapping) == 80 and res.mismatches == 0
+
+    @pytest.mark.parametrize("solve", ["dense", "matrix-free", "operator", "count"])
+    def test_mixed_direction_rejected(self, solve):
+        g1 = Graph.from_edges(3, [(0, 1)], directed=True)
+        g2 = Graph.from_edges(3, [(0, 1)])
+        calls = {
+            "dense": lambda: eigen_align(g1, g2, ScoreScheme(4, 2, 1), MappingSet.full(3, 3)),
+            "matrix-free": lambda: eigen_align(g1, g2, ScoreScheme(4, 2, 1)),
+            "operator": lambda: alignment_matvec(g1, g2, ScoreScheme(4, 2, 1), np.ones(9)),
+            "count": lambda: count_alignment(g1, g2, Assignment(np.arange(3), np.arange(3), 0.0)),
+        }
+        with pytest.raises(ValueError, match="^graphs must be both directed or both undirected$"):
+            calls[solve]()
 
     def test_infeasible_restriction_raises(self):
         from specalign.matching import InfeasibleMatchingError
@@ -153,8 +172,6 @@ class TestEigenAlign:
             n = int(rng.integers(5, 7))
             g1 = erdos_renyi(n, 0.5, int(rng.integers(2**31)))
             perm = random_permutation(n, int(rng.integers(2**31)))
-            from specalign.graph import apply_permutation
-
             g2 = apply_permutation(g1, perm)
             ea = eigen_align(g1, g2, scheme, seed=t)
             bf = brute_force_qap(g1, g2, scheme.gamma)

@@ -227,6 +227,21 @@ class TestGenerate:
         assert "even" in err
 
     @pytest.mark.parametrize(
+        "spec",
+        [
+            {"family": "er_sbm", "block_sizes": [], "within": []},
+            {"family": "sbm", "block_sizes": [], "density": []},
+            {"family": "sbm", "block_sizes": [12345678901234567890], "density": [[0.1]]},
+        ],
+        ids=["er-sbm-no-blocks", "sbm-no-blocks", "sbm-past-int64"],
+    )
+    def test_bad_block_sizes_named(self, tmp_path, capsys, spec):
+        code, _, err = run_main(generate("pair", spec, "--out", tmp_path / "b"), capsys)
+        assert code == 2
+        assert err.startswith("error: block_sizes ")
+        assert not (tmp_path / "b.json").exists()
+
+    @pytest.mark.parametrize(
         "within, cross, named",
         [("nan,0.2", "0.1", "density[0, 0] = nan"), ("0.1,0.2", "nan", "density[0, 1] = nan")],
     )

@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 from specalign.align import eigen_align
+from specalign.graph import Graph
 from specalign.matching import Assignment, greedy_matching, hungarian_max_weight
 from specalign.metrics import count_alignment, generalized_objective
 from specalign.randgen import erdos_renyi, random_permutation, sample_mapping_set
-from specalign.score import build_alignment_matrix, from_alpha
+from specalign.score import alignment_matvec, build_alignment_matrix, from_alpha
 
 
 def traced_peak(fn, *args, **kwargs):
@@ -35,6 +36,18 @@ def test_matrix_free_eigen_align_holds_four_blocks(n1, n2, budget):
     g1, g2 = erdos_renyi(n1, 0.05, 0), erdos_renyi(n2, 0.05, 1)
     peak = traced_peak(eigen_align, g1, g2, from_alpha(4, 0.001), matching="greedy")
     assert peak / (8 * n1 * n2) <= budget
+
+
+@pytest.mark.parametrize("directed, budget", [(False, 3.1), (True, 7.1)])
+def test_one_matrix_free_product(directed, budget):
+    # undirected: A1 Y, the float G2 and the product; directed: the three
+    # products K1 Y, G2's float A and A∘A^T, the sum and one term
+    n = 300
+    g1, g2 = erdos_renyi(n, 0.05, 0), erdos_renyi(n, 0.05, 1)
+    if directed:  # each graph keeps one direction of its edges
+        g1, g2 = (Graph(np.triu(g.adjacency), directed=True) for g in (g1, g2))
+    y = np.random.default_rng(0).random(n * n)
+    assert traced_peak(alignment_matvec, g1, g2, from_alpha(4, 0.001), y) / (8 * n * n) <= budget
 
 
 def test_restricted_eigen_align_drops_its_matrix_before_matching():

@@ -107,6 +107,13 @@ class TestStochasticBlockModel:
         g = stochastic_block_model([5, 5], np.zeros((2, 2)), 1)
         assert g.edge_count == 0
 
+    # no block, a node count past int64, and a block of no node
+    @pytest.mark.parametrize("sizes", [[], [12345678901234567890], [2**63 - 1, 1], [3, 0]])
+    def test_bad_block_sizes_named(self, sizes):
+        density = np.full((len(sizes), len(sizes)), 0.1)
+        with pytest.raises(ValueError, match=r"^block_sizes must be positive and sum to at most 2\*\*63 - 1 nodes, got \["):
+            stochastic_block_model(sizes, density, 0)
+
     def test_two_block_counts_within_four_sigma(self):
         sizes = [25, 25]
         density = np.array([[0.1, 0.05], [0.05, 0.3]])

@@ -298,12 +298,12 @@ class TestAlignmentMatvec:
             y[t] = 1.0
             assert np.allclose(alignment_matvec(g1, g2, s, y), a_cm[:, t], atol=1e-12)
 
-    @given(seed=st.integers(0, 2**32), s=SCHEMES)
-    def test_rectangular_matches_dense_product(self, seed, s):
+    @given(seed=st.integers(0, 2**32), directed=st.booleans(), s=SCHEMES)
+    def test_rectangular_matches_dense_product(self, seed, directed, s):
         rng = np.random.default_rng(seed)
         n1, n2 = rng.choice(np.arange(1, 8), size=2, replace=False).tolist()
-        g1 = random_graph(n1, rng.random(), seed, directed=False)
-        g2 = random_graph(n2, rng.random(), seed + 1, directed=False)
+        g1 = random_graph(n1, rng.random(), seed, directed)
+        g2 = random_graph(n2, rng.random(), seed + 1, directed)
         full = MappingSet.full(n1, n2)
         order = full_colmajor_order(n1, n2, full)
         a_cm = build_alignment_matrix(g1, g2, s, full)[np.ix_(order, order)]
@@ -334,11 +334,6 @@ class TestAlignmentMatvec:
         g = erdos_renyi(3, 0.5, 0)
         with pytest.raises(ValueError, match="length"):
             alignment_matvec(g, g, ScoreScheme(4, 2, 1), np.zeros(8))
-
-    def test_directed_rejected(self):
-        g = Graph.from_edges(3, [(0, 1)], directed=True)
-        with pytest.raises(ValueError, match="undirected"):
-            alignment_matvec(g, g, ScoreScheme(4, 2, 1), np.zeros(9))
 
 
 class TestDirectedMatrix:
