@@ -10,32 +10,31 @@ from __future__ import annotations
 import json
 import os
 import sys
-import time
 from pathlib import Path
 
 import click
 import numpy as np
 
-from .align import MATCHING_MODES, brute_force_qap, eigen_align, low_rank_align
 from .experiments import (
-    METHODS,
     ConfigError,
+    _check_gamma,
+    _method_keys,
     _pair_keys,
     cell_record,
     first_graph,
     generate_pair,
     parse_seed,
     run_sweep,
+    solve_cell,
     sweep_rows_to_csv,
 )
 from .graph import Graph, Permutation, load_edge_list, parse_id_pair, write_edge_list
 from .matching import Assignment
 from .metrics import count_alignment, generalized_objective, node_accuracy
-from .score import MappingSet, ScoreScheme, build_alignment_matrix, from_alpha
+from .score import MappingSet, build_alignment_matrix
 
 USAGE_EXIT = 1
 RUNTIME_EXIT = 2
-EA, LRA = METHODS["ea"], METHODS["lra"]  # the option defaults
 
 
 @click.group()
@@ -62,15 +61,22 @@ def _json(text: str, what: str):
         raise click.UsageError(f"{what} is not valid JSON: {exc}")
 
 
-SPEC_OPTION = click.option(
-    "--spec", required=True, callback=lambda ctx, param, text: _json(text, "--spec"),
-    help='Pair spec as JSON text, as a sweep config\'s "pair" holds it.',
+def _spec_option(help_text: str):
+    """A required ``--spec`` option, parsed as JSON."""
+    return click.option("--spec", required=True, callback=lambda ctx, param, text: _json(text, "--spec"), help=help_text)
+
+
+SPEC_OPTION = _spec_option('Pair spec as JSON text, as a sweep config\'s "pair" holds it.')
+
+SEED_OPTION = click.option(
+    "--seed", default="0", show_default=True, metavar="INTEGER", callback=lambda ctx, param, text: parse_seed(text),
+    help="Cell seed: a non-negative integer.",
 )
 
 
 @generate.command("graph")
 @SPEC_OPTION
-@click.option("--seed", type=int, default=0, show_default=True)
+@SEED_OPTION
 @click.option("--out", type=str, default="graph", show_default=True, help="Output path prefix.")
 def generate_graph_cmd(spec, seed, out):
     """The first graph of a pair spec, drawn at the seed itself (a pair draws it at a child seed)."""
@@ -87,7 +93,7 @@ def generate_graph_cmd(spec, seed, out):
 
 @generate.command("pair")
 @SPEC_OPTION
-@click.option("--seed", type=int, default=0, show_default=True)
+@SEED_OPTION
 @click.option("--out", type=str, default="pair", show_default=True, help="Output path prefix.")
 def generate_pair_cmd(spec, seed, out):
     """A sweep's graph pair at the seed, plus its truth; keys left out take the family's defaults."""
@@ -148,86 +154,40 @@ def _echo_record(record: dict) -> None:
     click.echo(json.dumps(record, sort_keys=True))
 
 
-def _emit_result(result, truth, out, started) -> None:
-    scores = (result.matches, result.mismatches, result.neutrals, result.objective)
-    accuracy = None if truth is None else node_accuracy(result.mapping, truth)
-    wall_ms = (time.perf_counter() - started) * 1000.0
-    _echo_record(cell_record(result.method, result.gamma, result.seed, scores, accuracy, wall_ms))
-    if out:
-        lines = [f"{i}\t{j}" for i, j in zip(result.mapping.rows.tolist(), result.mapping.cols.tolist())]
-        Path(out).write_text("\n".join(lines) + "\n")
-
-
-@cli.group()
-def align():
-    """Align two graphs and print a metrics record."""
-
-
-@align.command("ea")
+@cli.command("align")
 @click.argument("g1_path")
 @click.argument("g2_path")
-@click.option("--alpha", type=float, default=None, help="Match-score parameter (> 1).")
-@click.option("--eps", type=float, default=EA["eps"], show_default=True)
-@click.option("--s1", type=float, default=None, help="Explicit match score.")
-@click.option("--s2", type=float, default=None, help="Explicit neutral score.")
-@click.option("--s3", type=float, default=None, help="Explicit mismatch score.")
-@click.option("--matching", type=click.Choice(MATCHING_MODES), default=EA["matching"], show_default=True)
-@click.option("--restrict", type=str, default=None, help="Allowed-pairs file (two columns).")
-@click.option("--seed", type=int, default=0, show_default=True, help="Eigensolver start seed.")
+@_spec_option('Method spec as JSON text, as an entry of a sweep config\'s "methods" holds it, without "gammas".')
+@click.option("--gamma", type=float, required=True, help="Mismatch-penalty weight in [0, 0.5).")
+@SEED_OPTION
 @click.option("--truth", type=str, default=None, help="Sidecar JSON with the true permutation.")
 @click.option("--out", type=str, default=None, help="Write the mapping as TSV.")
-@click.option("--dump-alignment", type=str, default=None, help="Debug: write the dense alignment matrix as CSV.")
-def align_ea(g1_path, g2_path, alpha, eps, s1, s2, s3, matching, restrict, seed, truth, out, dump_alignment):
-    """Leading-eigenvector alignment."""
-    started = time.perf_counter()
+@click.option("--restrict", type=str, default=None, help="Allowed-pairs file (two columns); ea without restrict_k.")
+@click.option("--dump-alignment", type=str, default=None, help="Debug: write ea's dense alignment matrix as CSV.")
+def align_cmd(g1_path, g2_path, spec, gamma, seed, truth, out, restrict, dump_alignment):
+    """Run one sweep cell on two edge lists and print its metrics record."""
+    if isinstance(spec, dict) and "gammas" in spec:
+        raise click.UsageError("--spec holds gammas; align runs the one gamma of --gamma")
     g1, g2, truth = _load_inputs(g1_path, g2_path, truth)
-    if alpha is not None:
-        scheme = from_alpha(alpha, eps)
-    elif None not in (s1, s2, s3):
-        scheme = ScoreScheme(s1, s2, s3)
-    else:
-        raise click.UsageError("provide --alpha or all of --s1/--s2/--s3")
-    mapping_set = None
+    name, keys = method = _method_keys(spec, [gamma], truth is not None)
+    if name != "ea" and (restrict is not None or dump_alignment is not None):
+        raise click.UsageError(f"--restrict and --dump-alignment are for ea, not {name!r}")
+    if restrict is not None and keys["restrict_k"] is not None:
+        raise click.UsageError("--restrict and the spec's restrict_k both set the candidate set; give one")
+    mapping_set = dump = None
     if restrict is not None:
         # object ids, as in eval: an id past int64 reaches the range check as written
         pairs = np.array(sorted(set(_read_pairs(restrict))), dtype=object).reshape(-1, 2)
         mapping_set = MappingSet(g1.n, g2.n, rows=pairs[:, 0], cols=pairs[:, 1])
-    if dump_alignment:
-        dense_set = MappingSet.full(g1.n, g2.n) if mapping_set is None else mapping_set
-        a = build_alignment_matrix(g1, g2, scheme, dense_set)
-        np.savetxt(dump_alignment, a, delimiter=",")
-    result = eigen_align(g1, g2, scheme, mapping_set, matching=matching, seed=seed)
-    _emit_result(result, truth, out, started)
-
-
-@align.command("lra")
-@click.argument("g1_path")
-@click.argument("g2_path")
-@click.option("--gamma", type=float, required=True)
-@click.option("--rank", type=int, default=LRA["rank"], show_default=True)
-@click.option("--matching", type=click.Choice(MATCHING_MODES), default=LRA["matching"], show_default=True)
-@click.option("--truth", type=str, default=None)
-@click.option("--out", type=str, default=None)
-def align_lra(g1_path, g2_path, gamma, rank, matching, truth, out):
-    """Low-rank spectral alignment."""
-    started = time.perf_counter()
-    g1, g2, truth = _load_inputs(g1_path, g2_path, truth)
-    result = low_rank_align(g1, g2, gamma, rank_k=rank, matching=matching)
-    _emit_result(result, truth, out, started)
-
-
-@align.command("brute")
-@click.argument("g1_path")
-@click.argument("g2_path")
-@click.option("--gamma", type=float, default=0.0, show_default=True)
-@click.option("--truth", type=str, default=None)
-@click.option("--out", type=str, default=None)
-def align_brute(g1_path, g2_path, gamma, truth, out):
-    """Exact alignment by permutation enumeration (small graphs only)."""
-    started = time.perf_counter()
-    g1, g2, truth = _load_inputs(g1_path, g2_path, truth)
-    result = brute_force_qap(g1, g2, gamma)
-    _emit_result(result, truth, out, started)
+    if dump_alignment is not None:
+        def dump(scheme, candidates):
+            candidates = MappingSet.full(g1.n, g2.n) if candidates is None else candidates
+            np.savetxt(dump_alignment, build_alignment_matrix(g1, g2, scheme, candidates), delimiter=",")
+    record, mapping = solve_cell(g1, g2, truth, method, gamma, seed, mapping_set, dump)
+    _echo_record(record)
+    if out:
+        lines = [f"{i}\t{j}" for i, j in zip(mapping.rows.tolist(), mapping.cols.tolist())]
+        Path(out).write_text("\n".join(lines) + "\n")
 
 
 # -------------------------------------------------------------------- eval
@@ -240,6 +200,7 @@ def align_brute(g1_path, g2_path, gamma, truth, out):
 @click.option("--truth", type=str, default=None)
 def eval_cmd(g1_path, g2_path, mapping_tsv, gamma, truth):
     """Recount metrics from a stored mapping TSV."""
+    _check_gamma(gamma)
     g1, g2, truth = _load_inputs(g1_path, g2_path, truth)
     # object ids: an id past int64 reaches the Assignment check unconverted
     ids = np.array(_read_pairs(mapping_tsv), dtype=object).reshape(-1, 2)

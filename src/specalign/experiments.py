@@ -18,6 +18,7 @@ import numpy as np
 
 from .align import MATCHING_MODES, SIGN_ENUM_MAX_RANK, brute_force_qap, eigen_align, low_rank_align
 from .graph import Graph, Permutation, apply_permutation
+from .matching import Assignment
 from .metrics import node_accuracy
 from .randgen import (
     erdos_renyi,
@@ -29,7 +30,7 @@ from .randgen import (
     sample_mapping_set,
     stochastic_block_model,
 )
-from .score import from_alpha
+from .score import MappingSet, from_alpha
 
 __all__ = [
     "ConfigError",
@@ -40,6 +41,7 @@ __all__ = [
     "parse_seed",
     "run_cell",
     "run_sweep",
+    "solve_cell",
     "sweep_rows_to_csv",
     "CSV_COLUMNS",
 ]
@@ -158,16 +160,23 @@ def _pair_keys(spec: dict) -> tuple[str, dict]:
     return _spec_keys(PAIR_FAMILIES, "pair family", spec.get("family"), spec)
 
 
+def _check_gamma(gamma: float, method: str | None = None) -> None:
+    """The gamma rule of every front end: gamma in [0, 0.5), and above 0 for ``ea``."""
+    if not 0 <= gamma < 0.5:
+        raise ConfigError(f"gamma {gamma} outside [0, 0.5)")
+    if method == "ea" and gamma <= 0:
+        raise ConfigError("ea requires gamma > 0 (gamma maps to alpha = (1-gamma)/gamma)")
+
+
 def _method_keys(spec: dict, gammas, has_truth: bool) -> tuple[str, dict]:
     """A method spec's name and each key it reads, checked against its ``gammas`` and whether its pair has truth."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"method spec {spec!r} is not an object")
     name, keys = _spec_keys(METHODS, "method", spec.get("name"), spec)
     if not (gammas and isinstance(gammas, list) and all(isinstance(g, (int, float)) for g in gammas)):
         raise ConfigError(f"method {name!r} gammas {gammas!r} is not a non-empty list of numbers")
     for gamma in gammas:
-        if not 0 <= gamma < 0.5:
-            raise ConfigError(f"gamma {gamma} outside [0, 0.5)")
-        if name == "ea" and gamma <= 0:
-            raise ConfigError("ea requires gamma > 0 (gamma maps to alpha = (1-gamma)/gamma)")
+        _check_gamma(gamma, name)
     if spec.get("restrict_k") is not None and not has_truth:
         raise ConfigError("restricted mapping sets require a pair with ground truth")
     return name, keys
@@ -218,13 +227,36 @@ def generate_pair(spec: dict, seed: int) -> tuple[Graph, Graph, Permutation | No
 def run_cell(pair_spec: dict, method_spec: dict, gamma: float, seed: int) -> dict:
     """Execute one (method, gamma, seed) cell and return its metrics record."""
     g1, g2, truth = generate_pair(pair_spec, seed)
-    name, keys = _method_keys(method_spec, [gamma], truth is not None)
+    method = _method_keys(method_spec, [gamma], truth is not None)
+    return solve_cell(g1, g2, truth, method, gamma, seed)[0]
+
+
+def solve_cell(
+    g1: Graph,
+    g2: Graph,
+    truth: Permutation | None,
+    method: tuple[str, dict],
+    gamma: float,
+    seed: int,
+    mapping_set: MappingSet | None = None,
+    dump=None,
+) -> tuple[dict, Assignment]:
+    """The metrics record and mapping of one cell's solve on a given pair.
+
+    ``method`` is the (name, keys) of :func:`_method_keys`, and ``seed`` the
+    cell seed. ``mapping_set`` and ``dump`` are for ``ea`` only: a candidate
+    set in place of every pair (``restrict_k``'s sample replaces it), and a
+    callable given the score scheme and the mapping set (None: every pair)
+    before the solve, whose time counts in ``wall_ms``.
+    """
+    name, keys = method
     start = time.perf_counter()
     if name == "ea":
         scheme = from_alpha((1 - gamma) / gamma, float(keys["eps"]))
-        mapping_set = None
         if keys["restrict_k"] is not None:
             mapping_set = sample_mapping_set(g1.n, truth, keys["restrict_k"], child_seed(seed, STREAM_MAPPING_SET))
+        if dump is not None:
+            dump(scheme, mapping_set)
         result = eigen_align(
             g1, g2, scheme, mapping_set, matching=keys["matching"], seed=child_seed(seed, STREAM_SOLVER)
         )
@@ -235,7 +267,7 @@ def run_cell(pair_spec: dict, method_spec: dict, gamma: float, seed: int) -> dic
     wall_ms = (time.perf_counter() - start) * 1000.0
     accuracy = node_accuracy(result.mapping, truth) if truth is not None else None
     scores = (result.matches, result.mismatches, result.neutrals, result.objective)
-    return cell_record(name, gamma, seed, scores, accuracy, wall_ms)
+    return cell_record(name, gamma, seed, scores, accuracy, wall_ms), result.mapping
 
 
 def _cell_worker(args: tuple[dict, dict, float, int]) -> dict:

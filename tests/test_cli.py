@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from specalign import experiments
-from specalign.align import MATCHING_MODES
+from specalign.align import MATCHING_MODES, brute_force_qap
 from specalign.cli import main
 from specalign.experiments import (
     CSV_COLUMNS,
@@ -260,6 +260,14 @@ class TestGenerate:
         assert "negative dimensions" not in err
 
 
+def align(graphs, method, gamma, *options):
+    """The argv of ``align <graphs> --spec <method as JSON text> --gamma <gamma>`` and its other options."""
+    return ["align", *map(str, graphs), "--spec", json.dumps(method), "--gamma", str(gamma), *map(str, options)]
+
+
+EA, LRA = {"name": "ea"}, {"name": "lra"}
+
+
 class TestAlign:
     @pytest.fixture()
     def pair(self, tmp_path, capsys):
@@ -267,79 +275,166 @@ class TestAlign:
         run_main(generate("pair", {"family": "er", "n": 10, "p": 0.3}, "--seed", 2, "--out", out), capsys)
         return tmp_path
 
-    def test_ea_prints_record(self, pair, capsys):
-        code, out, _ = run_main(
-            ["align", "ea", str(pair / "pair_g1.el"), str(pair / "pair_g2.el"), "--alpha", "10", "--eps", "0.001"],
-            capsys,
-        )
+    @pytest.fixture()
+    def graphs(self, pair):
+        return [pair / "pair_g1.el", pair / "pair_g2.el"]
+
+    def test_ea_prints_record(self, graphs, capsys):
+        code, out, _ = run_main(align(graphs, {"name": "ea", "eps": 0.001}, 0.1), capsys)
         assert code == 0
         record = json.loads(out)
         assert record.keys() == RECORD_KEYS
         assert record["method"] == "ea"
         assert record["mismatches"] >= 0
 
-    def test_lra_with_mapping_output(self, pair, capsys):
+    @pytest.mark.parametrize(
+        "pair_spec, method, gamma, seed",
+        [
+            (json.loads((PRESETS / "fig3b.json").read_text())["pair"], EA, 0.2, 1),
+            ({"family": "er", "n": 30, "p": 0.2, "noise": "model1", "pe": 0.05}, {"name": "ea", "matching": "greedy", "restrict_k": 3}, 0.3, 4),
+            ({"family": "er_sbm", "n": 12, "block_sizes": [5, 4], "within": [0.4, 0.5], "cross": 0.1}, {"name": "lra", "matching": "exact"}, 0.1, 2),
+            ({"family": "regular", "n": 6, "d": 2, "noise": "model1", "pe": 0.2}, {"name": "brute"}, 0.2, 5),
+        ],
+        ids=["ea-exact", "ea-greedy-restrict-k", "lra-exact-unequal-sizes", "brute"],
+    )
+    def test_line_is_the_sweep_row(self, tmp_path, capsys, pair_spec, method, gamma, seed):
+        assert run_main(generate("pair", pair_spec, "--seed", seed, "--out", tmp_path / "c"), capsys)[0] == 0
+        graphs = [tmp_path / "c_g1.el", tmp_path / "c_g2.el"]
+        code, out, _ = run_main(align(graphs, method, gamma, "--seed", seed, "--truth", tmp_path / "c.json"), capsys)
+        assert code == 0
+        line = json.loads(out)
+        (row,) = run_sweep({"pair": pair_spec, "methods": [{**method, "gammas": [gamma]}], "seeds": [seed]})
+        assert row.pop("error") == ""
+        assert line.pop("wall_ms") >= 0 and row.pop("wall_ms") >= 0
+        assert line == row
+
+    @pytest.mark.parametrize(
+        "pair_spec, method, gamma",
+        [
+            (SMALL_CONFIG["pair"], LRA, 0.7),
+            (SMALL_CONFIG["pair"], {"name": "lra", "rank": 0}, 0.2),
+            (SMALL_CONFIG["pair"], {"name": "ea", "eps": -1}, 0.2),
+            (SMALL_CONFIG["pair"], EA, 0.0),
+            ({"family": "er_sbm"}, {"name": "ea", "restrict_k": 2}, 0.2),
+            (SMALL_CONFIG["pair"], {"name": "spectral"}, 0.2),
+            (SMALL_CONFIG["pair"], {"name": "lra", "matching": "fast"}, 0.2),
+        ],
+        ids=["gamma-0.7", "rank-0", "eps-negative", "ea-gamma-0", "restrict-k-without-truth", "unknown-name", "matching-fast"],
+    )
+    def test_refuses_a_method_as_the_sweep_does(self, tmp_path, capsys, pair_spec, method, gamma):
+        with pytest.raises(ConfigError) as refused:
+            validate_config({**SMALL_CONFIG, "pair": pair_spec, "methods": [{**method, "gammas": [gamma]}]})
+        run_main(generate("pair", pair_spec, "--out", tmp_path / "c"), capsys)
+        graphs = [tmp_path / "c_g1.el", tmp_path / "c_g2.el"]
+        out = tmp_path / "map.tsv"
+        code, _, err = run_main(align(graphs, method, gamma, "--truth", tmp_path / "c.json", "--out", out), capsys)
+        assert code == 1
+        assert f"Error: {refused.value}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "method, option",
+        [(LRA, "--restrict"), (LRA, "--dump-alignment"), ({"name": "brute"}, "--restrict"), ({"name": "ea", "restrict_k": 2}, "--restrict")],
+        ids=["restrict-lra", "dump-lra", "restrict-brute", "restrict-and-restrict-k"],
+    )
+    def test_candidate_options_are_for_ea_alone(self, pair, graphs, capsys, method, option):
+        r_file = pair / "allowed.txt"
+        r_file.write_text("0 0\n1 1\n")
+        code, _, err = run_main(align(graphs, method, 0.2, option, r_file, "--truth", pair / "pair.json"), capsys)
+        assert code == 1
+        assert "--restrict" in err
+
+    @pytest.mark.parametrize("spec", ['{"name": "ea", "gammas": [0.2]}', "{not json", "[1]"])
+    def test_spec_that_is_not_a_method_spec_exits_one(self, graphs, capsys, spec):
+        code, _, err = run_main(["align", *map(str, graphs), "--spec", spec, "--gamma", "0.2"], capsys)
+        assert code == 1
+        assert "Error:" in err
+
+    @pytest.mark.parametrize("command", ["pair", "graph", "align"])
+    @pytest.mark.parametrize("seed", ["-1", "1.5", "x", ""])
+    def test_bad_seed_is_refused_as_the_sweep_does(self, pair, graphs, capsys, command, seed):
+        out = pair / "out"
+        if command == "align":
+            argv = align(graphs, LRA, 0.2, "--out", out)
+        else:
+            argv = generate(command, {"family": "er", "n": 12, "p": 0.3}, "--out", out)
+        code, _, err = run_main([*argv, "--seed", seed], capsys)
+        assert code == 1
+        assert f"Error: seed {seed!r} is not a non-negative integer" in err
+        assert list(pair.glob("out*")) == []
+
+    def test_help_lists_the_seven_options(self, capsys):
+        code, out, _ = run_main(["align", "--help"], capsys)
+        assert code == 0
+        options = [word for word in out.split() if word.startswith("--") and word != "--help"]
+        assert options == ["--spec", "--gamma", "--seed", "--truth", "--out", "--restrict", "--dump-alignment"]
+
+    def test_lra_with_mapping_output(self, graphs, capsys, pair):
         out_tsv = pair / "map.tsv"
-        code, out, _ = run_main(
-            ["align", "lra", str(pair / "pair_g1.el"), str(pair / "pair_g2.el"), "--gamma", "0.2", "--rank", "3", "--out", str(out_tsv)],
-            capsys,
-        )
+        code, out, _ = run_main(align(graphs, {"name": "lra", "rank": 3}, 0.2, "--out", out_tsv), capsys)
         assert code == 0
         record = json.loads(out)
-        assert record["seed"] is None
+        assert record["seed"] == 0
         rows, cols = zip(*(map(int, line.split()) for line in out_tsv.read_text().splitlines()))
-        g1 = load_edge_list((pair / "pair_g1.el").read_text())
-        g2 = load_edge_list((pair / "pair_g2.el").read_text())
+        g1, g2 = (load_edge_list(path.read_text()) for path in graphs)
         counts = count_alignment(g1, g2, Assignment(rows, cols, 0.0))
         assert counts == (record["matches"], record["mismatches"], record["neutrals"])
 
     def test_brute_agrees_with_library(self, tmp_path, capsys):
         out = tmp_path / "small"
         run_main(generate("pair", {"family": "er", "n": 5, "p": 0.4}, "--seed", 9, "--out", out), capsys)
-        code, text, _ = run_main(
-            ["align", "brute", str(tmp_path / "small_g1.el"), str(tmp_path / "small_g2.el"), "--gamma", "0.0"],
-            capsys,
-        )
+        graphs = [tmp_path / "small_g1.el", tmp_path / "small_g2.el"]
+        code, text, _ = run_main(align(graphs, {"name": "brute"}, 0.0), capsys)
         assert code == 0
-        record = json.loads(text)
-        from specalign.align import brute_force_qap
+        g1, g2 = (load_edge_list(path.read_text()) for path in graphs)
+        assert json.loads(text)["objective"] == pytest.approx(brute_force_qap(g1, g2, 0.0).objective)
 
-        g1 = load_edge_list((tmp_path / "small_g1.el").read_text())
-        g2 = load_edge_list((tmp_path / "small_g2.el").read_text())
-        assert record["objective"] == pytest.approx(brute_force_qap(g1, g2, 0.0).objective)
+    @pytest.mark.parametrize("method", [EA, LRA])
+    @pytest.mark.parametrize("small_first", [True, False], ids=["wide", "tall"])
+    def test_unequal_sizes(self, pair, capsys, method, small_first):
+        # an 8-node graph against the 10-node one: exact matching pads rows, then columns
+        small = pair / "small.el"
+        small.write_text("# n=8\n0 1\n1 2\n2 3\n4 5\n")
+        graphs = [small, pair / "pair_g1.el"] if small_first else [pair / "pair_g1.el", small]
+        out_tsv = pair / "map.tsv"
+        code, out, _ = run_main(align(graphs, method, 0.2, "--out", out_tsv), capsys)
+        assert code == 0
+        record = json.loads(out)
+        rows, cols = zip(*(map(int, line.split()) for line in out_tsv.read_text().splitlines()))
+        assert len(rows) == 8
+        g1, g2 = (load_edge_list(path.read_text()) for path in graphs)
+        assert count_alignment(g1, g2, Assignment(rows, cols, 0.0)) == (record["matches"], record["mismatches"], record["neutrals"])
 
-    def test_restricted_alignment(self, pair, capsys):
+    def test_restricted_alignment(self, pair, graphs, capsys):
         sidecar = json.loads((pair / "pair.json").read_text())
         truth = sidecar["truth"]
         r_file = pair / "allowed.txt"
         lines = [f"{i} {truth[i]}" for i in range(10)] + ["0 0", "1 0", "2 1"]
         r_file.write_text("\n".join(lines) + "\n")
-        code, out, _ = run_main(
-            ["align", "ea", str(pair / "pair_g1.el"), str(pair / "pair_g2.el"), "--alpha", "10", "--restrict", str(r_file), "--truth", str(pair / "pair.json")],
-            capsys,
-        )
+        code, out, _ = run_main(align(graphs, EA, 0.1, "--restrict", r_file, "--truth", pair / "pair.json"), capsys)
         assert code == 0
         assert json.loads(out)["accuracy"] >= 0.8
 
-    def test_dump_alignment_matrix(self, pair, capsys):
+    def test_dump_alignment_matrix(self, pair, graphs, capsys):
         dump = pair / "a.csv"
-        code, _, _ = run_main(
-            ["align", "ea", str(pair / "pair_g1.el"), str(pair / "pair_g2.el"), "--alpha", "3", "--dump-alignment", str(dump)],
-            capsys,
-        )
+        code, _, _ = run_main(align(graphs, EA, 0.25, "--dump-alignment", dump), capsys)
         assert code == 0
         rows = dump.read_text().strip().splitlines()
         assert len(rows) == 100
 
-    def test_eval_round_trip(self, pair, capsys):
+    def test_dump_of_a_restricted_set(self, pair, graphs, capsys):
+        # restrict_k 2 samples 2 * 10 candidate pairs
+        dump = pair / "a.csv"
+        code, _, _ = run_main(align(graphs, {"name": "ea", "restrict_k": 2}, 0.25, "--truth", pair / "pair.json", "--dump-alignment", dump), capsys)
+        assert code == 0
+        assert len(dump.read_text().strip().splitlines()) == 20
+
+    def test_eval_round_trip(self, pair, graphs, capsys):
         out_tsv = pair / "m.tsv"
-        _, out, _ = run_main(
-            ["align", "lra", str(pair / "pair_g1.el"), str(pair / "pair_g2.el"), "--gamma", "0.1", "--out", str(out_tsv), "--truth", str(pair / "pair.json")],
-            capsys,
-        )
+        _, out, _ = run_main(align(graphs, LRA, 0.1, "--out", out_tsv, "--truth", pair / "pair.json"), capsys)
         align_record = json.loads(out)
         code, out, _ = run_main(
-            ["eval", str(pair / "pair_g1.el"), str(pair / "pair_g2.el"), str(out_tsv), "--gamma", "0.1", "--truth", str(pair / "pair.json")],
+            ["eval", *map(str, graphs), str(out_tsv), "--gamma", "0.1", "--truth", str(pair / "pair.json")],
             capsys,
         )
         assert code == 0
@@ -349,16 +444,13 @@ class TestAlign:
             assert eval_record[key] == align_record[key]
         assert eval_record["objective"] == pytest.approx(align_record["objective"])
 
-    def test_explicit_scores_match_alpha(self, pair, capsys):
-        graphs = [str(pair / "pair_g1.el"), str(pair / "pair_g2.el")]
-        records = []
-        for scores in (["--alpha", "4", "--eps", "0.001"], ["--s1", "4.001", "--s2", "1.001", "--s3", "0.001"]):
-            code, out, _ = run_main(["align", "ea", *graphs, *scores], capsys)
-            assert code == 0
-            record = json.loads(out)
-            del record["wall_ms"]
-            records.append(record)
-        assert records[0] == records[1]
+    @pytest.mark.parametrize("gamma", ["0.7", "-0.1", "nan"])
+    def test_eval_refuses_gamma_as_the_sweep_does(self, pair, graphs, capsys, gamma):
+        tsv = pair / "m.tsv"
+        tsv.write_text("0\t0\n")
+        code, _, err = run_main(["eval", *map(str, graphs), str(tsv), "--gamma", gamma], capsys)
+        assert code == 1
+        assert f"Error: gamma {float(gamma)} outside [0, 0.5)" in err
 
     @pytest.mark.parametrize(
         "payload, named",
@@ -375,22 +467,25 @@ class TestAlign:
         ],
         ids=["no-truth-key", "bare-list", "two-of-ten-nodes", "float-id", "boolean-ids", "string", "20-digit-id", "repeated-id"],
     )
-    def test_bad_truth_file_fails_before_solving(self, pair, capsys, payload, named):
+    def test_bad_truth_file_fails_before_solving(self, pair, graphs, capsys, payload, named):
         truth = pair / "truth.json"
         truth.write_text(json.dumps(payload))
-        graphs = [str(pair / "pair_g1.el"), str(pair / "pair_g2.el")]
         out = pair / "map.tsv"
-        code, _, err = run_main(["align", "ea", *graphs, "--alpha", "4", "--truth", str(truth), "--out", str(out)], capsys)
+        code, _, err = run_main(align(graphs, EA, 0.2, "--truth", truth, "--out", out), capsys)
         assert code == 2
         assert err.startswith("error:") and all(text in err for text in named)
         assert not out.exists()
 
-    def test_usage_error_exit_one(self, pair, capsys):
-        code, _, _ = run_main(["align", "ea", str(pair / "pair_g1.el"), str(pair / "pair_g2.el")], capsys)
-        assert code == 1
+    def test_usage_error_exit_one(self, graphs, capsys):
+        for missing in ("--spec", "--gamma"):
+            argv = align(graphs, EA, 0.2)
+            del argv[argv.index(missing) : argv.index(missing) + 2]
+            code, _, err = run_main(argv, capsys)
+            assert code == 1
+            assert missing in err
 
     def test_missing_file_exit_two(self, capsys):
-        code, _, _ = run_main(["align", "lra", "nope.el", "nope2.el", "--gamma", "0.1"], capsys)
+        code, _, _ = run_main(align(["nope.el", "nope2.el"], LRA, 0.1), capsys)
         assert code == 2
 
     def test_allocation_failure_exit_two(self, tmp_path, capsys):
@@ -398,7 +493,7 @@ class TestAlign:
         # at once; a merely large size would be allocated lazily instead
         huge = tmp_path / "huge.el"
         huge.write_text("0 2000000000\n")
-        code, _, err = run_main(["align", "lra", str(huge), str(huge), "--gamma", "0.1"], capsys)
+        code, _, err = run_main(align([huge, huge], LRA, 0.1), capsys)
         assert code == 2
         assert err.startswith("error:")
 
@@ -441,54 +536,38 @@ class TestAlign:
         assert records[0] == records[1]
 
     @pytest.mark.parametrize("bad_line", ["1 2 3", "1 x", "3 -1"])
-    def test_restrict_bad_line_names_it(self, pair, capsys, bad_line):
+    def test_restrict_bad_line_names_it(self, pair, graphs, capsys, bad_line):
         r_file = pair / "allowed.txt"
         r_file.write_text(f"# allowed pairs\n0 0\n{bad_line}\n")
-        code, _, err = run_main(
-            ["align", "ea", str(pair / "pair_g1.el"), str(pair / "pair_g2.el"), "--alpha", "10", "--restrict", str(r_file)],
-            capsys,
-        )
+        code, _, err = run_main(align(graphs, EA, 0.1, "--restrict", r_file), capsys)
         assert code == 2
         assert "line 3" in err
 
-    def test_empty_restrict_file_names_the_mapping_set(self, pair, capsys):
+    def test_empty_restrict_file_names_the_mapping_set(self, pair, graphs, capsys):
         r_file = pair / "allowed.txt"
         r_file.write_text("# no allowed pairs\n\n")
-        code, _, err = run_main(
-            ["align", "ea", str(pair / "pair_g1.el"), str(pair / "pair_g2.el"), "--alpha", "10", "--restrict", str(r_file)],
-            capsys,
-        )
+        code, _, err = run_main(align(graphs, EA, 0.1, "--restrict", r_file), capsys)
         assert code == 2
         assert "mapping set is empty" in err
         assert "argmax" not in err
 
-    def test_restrict_out_of_range_pair_names_it(self, pair, capsys):
+    def test_restrict_out_of_range_pair_names_it(self, pair, graphs, capsys):
         # small ids next to one past int64 would make a float array of the pairs
         for text, named in [("0\t0\n10\t3\n1\t1\n", "10, 3"), ("0\t0\n12345678901234567891\t1\n", "12345678901234567891, 1")]:
             r_file = pair / "allowed.txt"
             r_file.write_text(text)
-            code, _, err = run_main(
-                ["align", "ea", str(pair / "pair_g1.el"), str(pair / "pair_g2.el"), "--alpha", "10", "--restrict", str(r_file)],
-                capsys,
-            )
+            code, _, err = run_main(align(graphs, EA, 0.1, "--restrict", r_file), capsys)
             assert code == 2
             assert f"pair ({named}) out of range for sizes (10, 10)" in err
 
-    @pytest.mark.parametrize("command, option, key", [("ea", "--eps FLOAT", "eps"), ("lra", "--rank INTEGER", "rank")])
-    def test_option_defaults_are_the_method_defaults(self, capsys, command, option, key):
-        code, out, _ = run_main(["align", command, "--help"], capsys)
-        assert code == 0
-        lines = " ".join(out.split())  # help text wraps
-        assert f"{option} [default: {METHODS[command][key]}]" in lines
-        assert f"[default: {METHODS[command]['matching']}]" in lines
-
     @pytest.mark.parametrize("mode", MATCHING_MODES)
-    @pytest.mark.parametrize("command, option", [("ea", ["--alpha", "10"]), ("lra", ["--gamma", "0.2"])])
-    def test_matching_option_takes_each_mode_and_refuses_others(self, pair, capsys, command, option, mode):
-        graphs = [str(pair / "pair_g1.el"), str(pair / "pair_g2.el")]
-        assert run_main(["align", command, *graphs, *option, "--matching", mode], capsys)[0] == 0
-        code, _, err = run_main(["align", command, *graphs, *option, "--matching", "fast"], capsys)
-        assert code == 1
+    @pytest.mark.parametrize("command, option", [("ea", ["--gamma", "0.1"]), ("lra", ["--gamma", "0.2"])])
+    def test_matching_option_takes_each_mode_and_refuses_others(self, graphs, capsys, command, option, mode):
+        graphs = list(map(str, graphs))
+        for matching in (mode, "fast"):
+            argv = ["align", *graphs, "--spec", json.dumps({"name": command, "matching": matching}), *option]
+            code, _, err = run_main(argv, capsys)
+            assert code == (0 if matching == mode else 1)
         assert "'fast'" in err and repr(mode) in err
 
 
